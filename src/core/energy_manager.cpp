@@ -91,15 +91,15 @@ void EnergyManager::on_start(const SocState& state, SocCommand& cmd) {
   now_ = state.time;
   tracker_.on_start(state, cmd);
   prev_v_solar_ = state.v_solar;
-  enter_tracking(state, cmd);
+  enter_tracking(cmd);
 }
 
-void EnergyManager::enter_tracking(const SocState& state, SocCommand& cmd) {
+void EnergyManager::enter_tracking(SocCommand& cmd) {
   state_ = State::kTracking;
   cmd.path = low_light_bypass_ ? PowerPath::kBypass : PowerPath::kRegulated;
   cmd.run = true;
   if (params_.mode == ManagerMode::kMinEnergy && !low_light_bypass_) {
-    apply_mep_point(cmd, state.irradiance > 0.0 ? 0.5 : 0.5);
+    apply_mep_point(cmd, 0.5);
   }
 }
 
@@ -232,7 +232,7 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
     cmd.path = PowerPath::kRegulated;
     return;
   }
-  if (elapsed > s.plan.deadline * 1.5) {
+  if (elapsed > s.plan.deadline * kSprintOverrunFactor) {
     ++jobs_missed_;
     sprint_.reset();
     state_ = State::kRecovering;
@@ -254,8 +254,9 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
   cmd.frequency = op.frequency;
 
   const bool no_headroom = !model_->regulator().supports(state.v_solar, op.vdd);
-  const bool sagging = state.v_dd.value() < op.vdd.value() - 0.05 &&
-                       elapsed.value() > 1e-4;
+  const bool sagging =
+      state.v_dd.value() < op.vdd.value() - kSprintSagMargin.value() &&
+      elapsed.value() > kSprintSagArmDelay.value();
   if (no_headroom || sagging) {
     s.bypassed = true;
     cmd.path = PowerPath::kBypass;
@@ -268,7 +269,7 @@ void EnergyManager::tick_recovering(const SocState& state, SocCommand& cmd) {
   cmd.run = false;
   cmd.path = PowerPath::kRegulated;
   if (state.v_solar >= params_.recover_voltage || !queue_empty()) {
-    enter_tracking(state, cmd);
+    enter_tracking(cmd);
   }
 }
 
@@ -289,14 +290,14 @@ void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
       break;
     case State::kSprinting: {
       const ActiveSprint& s = *sprint_;
-      hint.deadline((s.started + s.plan.deadline * 1.5).value());
+      hint.deadline((s.started + s.plan.deadline * kSprintOverrunFactor).value());
       if (!s.bypassed) {
         hint.deadline((s.started + s.plan.phase_time).value());
-        hint.deadline(s.started.value() + 1e-4);  // sag check arms after 100 us
+        hint.deadline(s.started.value() + kSprintSagArmDelay.value());
         const Seconds elapsed = state.time - s.started;
         const OperatingPoint& op =
             elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
-        hint.watch_rail(op.vdd.value() - 0.05);  // rail-sag bypass trigger
+        hint.watch_rail(op.vdd.value() - kSprintSagMargin.value());
       }
       if (state.frequency.value() > 0.0) {
         const double remaining =

@@ -36,6 +36,15 @@ enum class QueueDiscipline {
   kEdf,   ///< earliest absolute deadline first, stale jobs dropped as missed
 };
 
+/// Sprint rail-sag rule: a regulated sprint hands over to the bypass when the
+/// rail sags this far below the planned operating voltage ...
+inline constexpr Volts kSprintSagMargin{0.05};
+/// ... once the sprint has run this long (the rail's start-up transient).
+inline constexpr Seconds kSprintSagArmDelay{1e-4};
+/// A sprint still unfinished at this multiple of its planned deadline is
+/// abandoned and counted as missed.
+inline constexpr double kSprintOverrunFactor = 1.5;
+
 struct EnergyManagerParams {
   ManagerMode mode = ManagerMode::kMaxPerformance;
   MppTrackerParams tracker{};
@@ -96,7 +105,7 @@ class EnergyManager : public SocController {
     bool bypassed = false;
   };
 
-  void enter_tracking(const SocState& state, SocCommand& cmd);
+  void enter_tracking(SocCommand& cmd);
   void start_next_job(const SocState& state, SocCommand& cmd);
   void tick_tracking(const SocState& state, SocCommand& cmd);
   void tick_sprinting(const SocState& state, SocCommand& cmd);

@@ -26,14 +26,20 @@ namespace hemp {
 /// Eq. 7: input power from a measured V1 -> V2 fall time under load `p_draw`.
 Watts estimate_input_power(Watts p_draw, Farads c, Volts v1, Volts v2, Seconds t);
 
+/// MppLut's default irradiance sampling (suns): `kMppLutSamples` uniform
+/// samples across [kMppLutGMin, kMppLutGMax].
+inline constexpr double kMppLutGMin = 0.02;
+inline constexpr double kMppLutGMax = 1.2;
+inline constexpr int kMppLutSamples = 48;
+
 /// Offline-built lookup table from measured input power to the MPP voltage.
 class MppLut {
  public:
   /// Sample the cell's I-V family across irradiance [g_min, g_max]; the
   /// "measured power" axis is the cell output at `measure_voltage` (the
   /// midpoint of the comparator window, where Eq. 7's estimate applies).
-  MppLut(const PvCell& cell, Volts measure_voltage, double g_min = 0.02,
-         double g_max = 1.2, int samples = 48);
+  MppLut(const PvCell& cell, Volts measure_voltage, double g_min = kMppLutGMin,
+         double g_max = kMppLutGMax, int samples = kMppLutSamples);
 
   /// MPP voltage for an estimated input power (clamped to the table range).
   [[nodiscard]] Volts mpp_voltage_for(Watts p_in) const;

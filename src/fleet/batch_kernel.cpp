@@ -15,6 +15,7 @@
 #include "common/numeric.hpp"
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
+#include "core/energy_manager.hpp"
 #include "core/regulator_selector.hpp"
 #include "core/sprint_scheduler.hpp"
 #include "core/system_model.hpp"
@@ -25,6 +26,7 @@
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/flat_model.hpp"
+#include "sim/flat_stepper.hpp"
 #include "sim/soc_system.hpp"
 #include "trace/generators.hpp"
 
@@ -32,68 +34,18 @@ namespace hemp {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Flattened model constants.  Every value mirrors the corresponding component
-// default (SpeedModelParams, PowerModelParams, SocConfig, EnergyManagerParams,
-// MppTrackerParams); the batch kernel is an integrator over the shared
-// hemp::flat closed forms, so the constants must stay in sync with those
-// structs.  The fleet never overrides them (fleet_sim.cpp builds every node
-// from the defaults plus the sampled scale factors).  PV, switched-cap, and
-// trace flattening live in sim/flat_model.{hpp,cpp} now, shared with the
-// single-node fast path.
-// ---------------------------------------------------------------------------
+// The batch kernel integrates every node with the shared flat::NodeStepper
+// (sim/flat_stepper.hpp) over the hemp::flat closed forms.  Every physics and
+// controller constant comes from the structs the reference engine uses
+// (SocConfig, BypassParams, SwitchedCapParams, the per-node Processor, the
+// forced policy's EnergyManagerParams, MppLut's sampling defaults); the
+// constants below are only this kernel's own discretisation choices.
 
 using flat::FlatTrace;
 using flat::flatten_constant;
 using flat::flatten_trace;
 using PvFlat = flat::FlatPv;
 using ProcFlat = flat::FlatProc;
-using WatchAccum = flat::WatchAccum;
-
-// Processor speed/power model (typical corner; corners shift copies).
-constexpr double kAlpha = 1.05;
-constexpr double kVref = 1.0;
-constexpr double kFref = 1.2e9;
-constexpr double kVthBase = 0.30;
-constexpr double kNearThMargin = 0.06;
-constexpr double kSubSlope = 0.05;
-constexpr double kVminProc = 0.20;
-constexpr double kVmaxProc = 1.2;
-constexpr double kCeff = 45e-12;
-constexpr double kLeakBase = 0.38e-3;
-constexpr double kDibl = 0.4;
-
-// SoC node and power-path physics.
-constexpr double kVSolarStart = 1.2;
-constexpr double kVddStart = 0.5;
-constexpr double kTau = 50e-6;      // regulation_time_constant
-constexpr double kBypassR = 1.0;    // BypassParams::on_resistance
-
-// Energy manager / MPP tracker policy constants.
-constexpr double kRecoverV = 1.05;
-constexpr double kBypassEnterRatio = 0.9;
-constexpr double kBypassExitRatio = 1.2;
-constexpr double kReassessPeriod = 2e-3;
-constexpr double kSprintFactor = 0.2;
-constexpr double kControlPeriod = 500e-6;
-constexpr double kDeadband = 0.02;
-constexpr double kSlewTol = 0.002;
-constexpr double kVHigh = 1.0;
-constexpr double kVLow = 0.9;
-constexpr double kTrackerCap = 47e-6;  // the tracker's *assumed* C (Eq. 7)
-constexpr int kLadderSteps = 48;
-constexpr double kVddCeiling = 0.8;
-constexpr double kCompHalfHyst = 0.0025;  // Comparator hysteresis 5 mV -> +-2.5
-constexpr double kSagMargin = 0.05;
-constexpr double kSagEnableTime = 1e-4;
-
-// Event-driven stepping knobs (shared defaults; see flat_model.hpp).
-constexpr double kDtMax = flat::kDtMax;
-constexpr double kRailBand = flat::kRailBand;
-constexpr double kRailSettleCap = flat::kRailSettleFactor * kTau;
-constexpr double kBypassDvCap = flat::kBypassDvCap;
-constexpr double kVminHysteresis = flat::kVminHysteresis;
-constexpr double kWatchVFloor = flat::kWatchVFloor;
 
 // Surface resolution (shared across the fleet; exact solves, ctor only).
 constexpr int kSurfaceSKnots = 13;
@@ -113,73 +65,22 @@ constexpr int kIvVKnots = 160;
 constexpr double kIvVMax = 1.7;
 constexpr int kIvGKnots = 64;
 
-// MppLut surrogate sampling (mirrors MppLut's defaults).
-constexpr int kLutSamples = 48;
-constexpr double kLutGMin = 0.02;
-constexpr double kLutGMax = 1.2;
-
-// ---------------------------------------------------------------------------
-// Flattened component math: hemp::flat mirrors, specialized to the fleet's
-// fixed component defaults.
-// ---------------------------------------------------------------------------
-
 // Every fleet node shares the default switched-cap regulator.
 const flat::FlatSc kScFlat = flat::make_flat_sc(SwitchedCapParams{});
 
-/// Per-node PV constants (only Isc scales with pv_scale; same Voc/Rs/Rsh).
-PvFlat make_pv_flat(double pv_scale) {
+/// A node's cell: only Isc scales with pv_scale (same Voc/Rs/Rsh).
+PvCellParams scaled_pv(double pv_scale) {
   PvCellParams p;
   p.isc_full_sun = p.isc_full_sun * pv_scale;
-  return flat::make_flat_pv(p);
+  return p;
 }
 
-/// Regulator envelope: mirrors Regulator::supports via output_range.
 bool sc_supports(double vin, double vout) {
   return flat::sc_supports(kScFlat, vin, vout);
 }
 
 double sc_efficiency(double vin, double vout, double pout) {
   return flat::sc_efficiency(kScFlat, vin, vout, pout);
-}
-
-/// Per-node processor constants resolved from the sampled corner/temperature
-/// exactly as make_test_chip_at + SpeedModel's constructor do.
-ProcFlat make_proc_flat(ProcessCorner corner, double temperature_c) {
-  double vth_shift = 0.0;
-  double drive_scale = 1.0;
-  double leak_scale = 1.0;
-  switch (corner) {
-    case ProcessCorner::kSlowSlow:
-      vth_shift = +0.04;
-      drive_scale = 0.85;
-      leak_scale = 0.4;
-      break;
-    case ProcessCorner::kTypical:
-      break;
-    case ProcessCorner::kFastFast:
-      vth_shift = -0.04;
-      drive_scale = 1.15;
-      leak_scale = 2.5;
-      break;
-  }
-  const double dt = temperature_c - 25.0;
-  vth_shift -= 1e-3 * dt;
-  leak_scale *= std::exp2(dt / 30.0);
-
-  ProcFlat p;
-  p.vth = kVthBase + vth_shift;
-  p.alpha = kAlpha;
-  const double fref = kFref * drive_scale;
-  p.gain = fref * kVref / std::pow(kVref - p.vth, kAlpha);
-  p.onset = p.vth + kNearThMargin;
-  p.f_onset = p.gain * std::pow(p.onset - p.vth, kAlpha) / p.onset;
-  p.sub_slope = kSubSlope;
-  p.vmin = kVminProc;
-  p.vmax = kVmaxProc;
-  p.ceff = kCeff;
-  p.leak_base = kLeakBase * leak_scale;
-  p.dibl = kDibl;
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -201,12 +102,6 @@ std::pair<double, double> widen_if_degenerate(double lo, double hi) {
   return {lo, hi};
 }
 
-PvCell make_scaled_cell(double pv_scale) {
-  PvCellParams p;
-  p.isc_full_sun = p.isc_full_sun * pv_scale;
-  return PvCell(p);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -218,12 +113,14 @@ struct BatchFleetKernel::Shared {
   bool shared_sky = false;
   FlatTrace sky;  ///< valid when shared_sky
 
-  /// Bypass hysteresis window every lane uses.  The defaults are the legacy
-  /// manager constants; a forced scenario policy with a batch spec overrides
-  /// them fleet-wide (per-node policies always agree: the scenario either
-  /// forces one policy or runs the legacy mix, which shares this window).
-  double bypass_enter = kBypassEnterRatio;
-  double bypass_exit = kBypassExitRatio;
+  /// Node hardware defaults the fleet never overrides (start voltages,
+  /// regulation time constant, bypass switch, comparator bank); per-node
+  /// capacitances and the time step come from the scenario.
+  SocConfig soc{};
+  /// Energy-manager parameters every lane runs: the forced policy's, or the
+  /// defaults the legacy mix's mpp_track / mep_hold policies share (the
+  /// per-node mode then comes from the sampled min_energy flag).
+  EnergyManagerParams manager{};
 
   // SoA node-parameter plane (index-parallel arrays).
   std::vector<NodeSample> samples;
@@ -259,20 +156,22 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
   sh.scenario.validate();
   const FleetScenario& sc = sh.scenario;
 
-  // --- Forced scenario policy: only policies with a batch spec (an
-  // EnergyManager parameterization the flattened lane implements) can ride
-  // this kernel; everything else must use the reference engine. -------------
-  std::optional<BatchPolicySpec> forced_spec;
+  // --- Forced scenario policy: the flattened manager lane implements
+  // EnergyManager with a FIFO job queue, so only EnergyManager-backed FIFO
+  // policies can ride this kernel; everything else must use the reference
+  // engine. ------------------------------------------------------------------
+  bool forced = false;
   if (!sc.policy.empty()) {
-    const EnergyPolicy& policy = PolicyRegistry::global().at(sc.policy);
-    forced_spec = policy.batch_spec();
-    if (!forced_spec) {
+    const EnergyManagerParams* params =
+        PolicyRegistry::global().at(sc.policy).manager_params();
+    if (params == nullptr ||
+        params->queue_discipline != QueueDiscipline::kFifo) {
       throw ModelError("BatchFleetKernel: policy '" + sc.policy +
                        "' has no batch-kernel lane; run it on the reference "
                        "kernel (fleetsim --kernel reference)");
     }
-    sh.bypass_enter = forced_spec->bypass_enter_ratio;
-    sh.bypass_exit = forced_spec->bypass_exit_ratio;
+    sh.manager = *params;
+    forced = true;
   }
 
   // --- Shared MPP + terminal-current surfaces: exact solves sampled once
@@ -297,7 +196,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     std::vector<double> vals(temp_knots.size() * cross_s_knots.size());
     for (std::size_t i = 0; i < temp_knots.size(); ++i) {
       for (std::size_t j = 0; j < cross_s_knots.size(); ++j) {
-        const PvCell cell = make_scaled_cell(cross_s_knots[j]);
+        const PvCell cell(scaled_pv(cross_s_knots[j]));
         const SwitchedCapRegulator reg;
         const Processor proc =
             make_test_chip_at({kAllCorners[c], temp_knots[i]});
@@ -388,7 +287,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     // The Bernoulli draw above must always happen — the per-node stream
     // continues into the phase/trace draws — but a forced policy overrides
     // the sampled mode (the effective mode lands in the report's CSV).
-    if (forced_spec) s.min_energy = forced_spec->min_energy;
+    if (forced) s.min_energy = sh.manager.mode == ManagerMode::kMinEnergy;
     s.job_phase = sc.job_cycles > 0.0
                       ? Seconds(rng.uniform(0.0, sc.job_period.value()))
                       : Seconds(0.0);
@@ -397,9 +296,9 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
     }
 
-    sh.pv[i] = make_pv_flat(s.pv_scale);
-    sh.proc[i] = make_proc_flat(s.conditions.corner, s.conditions.temperature_c);
+    sh.pv[i] = flat::make_flat_pv(scaled_pv(s.pv_scale));
     sh.processors.push_back(make_test_chip_at(s.conditions));
+    sh.proc[i] = flat::make_flat_proc(sh.processors.back());
 
     const int corner_ix = s.conditions.corner == ProcessCorner::kSlowSlow ? 0
                           : s.conditions.corner == ProcessCorner::kTypical ? 1
@@ -409,7 +308,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     sh.crossover_power[i] =
         g_cross >= kCrossMinG ? sh.pmpp_at(s.pv_scale, g_cross) : 0.0;
     // A zero crossover power is exactly how the manager encodes "bypass off".
-    if (forced_spec && !forced_spec->bypass_enabled) sh.crossover_power[i] = 0.0;
+    if (!sh.manager.low_light_bypass_enabled) sh.crossover_power[i] = 0.0;
   }
 
   shared_ = std::move(shared);
@@ -424,8 +323,9 @@ const FleetScenario& BatchFleetKernel::scenario() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-node lane: the full controller + physics state, integrated to
-// completion one node at a time (everything lives in registers / L1).
+// Per-node lane: the flattened controller state machine driving the shared
+// flat::NodeStepper, integrated to completion one node at a time
+// (everything lives in registers / L1).
 // ---------------------------------------------------------------------------
 
 enum class MgrState { kTracking, kSprinting, kRecovering };
@@ -452,37 +352,26 @@ struct NodeRunner {
   const NodeSample& s;
   const PvFlat& pv;
   const ProcFlat& pc;
-  const FlatTrace& trace;
-  double c_solar;   ///< node storage capacitance
-  double c_vdd;     ///< rail capacitance
-  double day;       ///< day length
-  double dt_min;    ///< scenario time_step: the reference tick = event slack
+  const EnergyManagerParams& mp;
+  const MppTrackerParams& tp;
   double crossover_power;
-  std::vector<BatchComparatorEvent>* events = nullptr;  // traced mode
+  std::vector<BatchComparatorEvent>* events;  ///< traced mode, else null
 
-  // --- physics state
-  double t = 0.0;
-  double v_s = kVSolarStart;
-  double v_d = kVddStart;
-  std::size_t cur = 0;       ///< trace cursor
-
-  // --- command latch (SocCommand)
-  PowerPath cmd_path = PowerPath::kRegulated;
-  double cmd_vdd = kVddStart;
-  double cmd_freq = 100e6;
-  bool cmd_run = true;
+  flat::NodeStepper st;
+  SocCommand cmd{};
+  SocStepHint hint{};  ///< refilled every step by fill_hint()
+  double g0 = 0.0;     ///< irradiance at the present step's start
 
   // --- energy manager
   MgrState mgr = MgrState::kTracking;
   bool bypass = false;
-  double prev_v_mgr = kVSolarStart;
+  double prev_v_mgr = 0.0;
   double next_reassess = 0.0;
   bool has_pest = false;
   double p_est = 0.0;
 
   // --- sprint
   SprintPlanFlat plan{};
-  bool sprinting = false;
   double sprint_started = 0.0;
   double sprint_start_cycles = 0.0;
   bool sprint_bypassed = false;
@@ -502,65 +391,54 @@ struct NodeRunner {
   double next_submit = 0.0;
   int jobs_submitted = 0, jobs_completed = 0, jobs_missed = 0;
 
-  // --- run/fault bookkeeping
-  double p_processor = 0.0;  ///< previous step's load (controller observable)
-  double f_eff = 0.0;
-  bool can_run = false;
-  bool step_sc_ok = false;  ///< sc_supports(v_s, cmd_vdd), frozen per step
-  bool was_running = false;
-  // Exact-key memos for the stepped loop's libm calls.  At steady state the
-  // rail voltage, effective frequency, and episode tick count repeat with
-  // bit-identical inputs step after step, so the std::pow / std::exp calls
-  // in proc_fmax, proc_power, and the rail episode are mostly cache hits; a
-  // key mismatch recomputes, so results never change.
-  flat::PowMemo pow_memo{};
-  double fmax_key = std::numeric_limits<double>::quiet_NaN();
-  double fmax_val = 0.0;
-  double pload_key_v = std::numeric_limits<double>::quiet_NaN();
-  double pload_key_f = 0.0;
-  double pload_val = 0.0;
-  bool fault_latch = false;
-  bool vmin_latch = false;
-
-  // --- totals
-  double cycles = 0.0;
-  double harvested = 0.0;
-  double delivered = 0.0;
-  double halted = 0.0;
-  int brownouts = 0;
-  int timing_faults = 0;
   double mppt_num = 0.0, mppt_den = 0.0;
-
-  // --- step accounting (flushed to solver_stats once per node run)
-  solver_stats::StepCause step_cause = solver_stats::StepCause::kDeadline;
-  std::array<std::uint64_t, solver_stats::kStepCauseCount> step_counts{};
 
   // --- caches
   std::array<MepSlot, 32> mep_cache{};
   std::optional<PiecewiseLinear> lut_p2v{}, lut_p2p{};
-  std::array<double, kLadderSteps> ladder_v{}, ladder_f{};
+  std::vector<double> ladder_v{}, ladder_f{};
 
   // --- solar-node comparator bank (traced mode only)
-  std::array<bool, 8> bank_out{};
-  std::size_t bank_size = 0;
+  std::optional<ComparatorBank> bank{};
+  std::vector<ComparatorEvent> bank_edges{};
 
-  // --- terminal-current surface view for this node (set in on_start)
-  flat::IvSurface::Bound iv{};
+  NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i,
+             std::vector<BatchComparatorEvent>* traced = nullptr)
+      : sh(shared),
+        s(shared.samples[i]),
+        pv(shared.pv[i]),
+        pc(shared.proc[i]),
+        mp(shared.manager),
+        tp(shared.manager.tracker),
+        crossover_power(shared.crossover_power[i]),
+        events(traced) {
+    st.sc = &kScFlat;
+    st.pc = &pc;
+    st.trace = sh.shared_sky ? &sh.sky : &sh.traces[i];
+    st.iv = sh.iv.bind(s.pv_scale);
+    st.t_end = sh.scenario.day_length.value();
+    st.dt_ref = sh.scenario.time_step.value();
+    st.tau = sh.soc.regulation_time_constant.value();
+    st.c_solar = s.solar_capacitance.value();
+    st.c_vdd = sh.scenario.vdd_cap.value();
+    st.r_on = sh.soc.bypass.on_resistance.value();
+    st.v_s = sh.soc.solar_start_voltage.value();
+    st.v_d = sh.soc.vdd_start_voltage.value();
+    cmd.vdd_target = sh.soc.vdd_start_voltage;
+  }
 
   // ---------------------------------------------------------------------
   // Setup
   // ---------------------------------------------------------------------
 
-  /// Stepped-loop cell evaluation via the node's bound surface view.
-  HEMP_HOT double cell_i(double v, double g, double* didv = nullptr) const {
-    return iv.cell_i(v, g, didv);
-  }
-
   void build_ladder() {
-    const double lo = kVminProc;
-    const double hi = std::min(kVddCeiling, kVmaxProc);
-    for (int i = 0; i < kLadderSteps; ++i) {
-      const double v = lo + (hi - lo) * i / (kLadderSteps - 1);
+    const int steps = tp.dvfs_steps;
+    const double lo = pc.vmin;
+    const double hi = std::min(tp.vdd_ceiling.value(), pc.vmax);
+    ladder_v.resize(static_cast<std::size_t>(steps));
+    ladder_f.resize(static_cast<std::size_t>(steps));
+    for (int i = 0; i < steps; ++i) {
+      const double v = lo + (hi - lo) * i / (steps - 1);
       ladder_v[static_cast<std::size_t>(i)] = v;
       ladder_f[static_cast<std::size_t>(i)] = proc_fmax(pc, v);
     }
@@ -569,12 +447,13 @@ struct NodeRunner {
   /// MppLut surrogate: sample the cell at the mid-threshold voltage with the
   /// fast Newton solve, map power -> (Vmpp, Pmpp) via the shared surfaces.
   void build_lut() {
-    const double v_meas = 0.5 * (kVHigh + kVLow);
+    const double v_meas = 0.5 * (tp.v_high.value() + tp.v_low.value());
     std::vector<double> p, vmpp, pmpp;
     double last_p = -1.0;
     double warm = 0.0;
-    for (int i = 0; i < kLutSamples; ++i) {
-      const double g = kLutGMin + (kLutGMax - kLutGMin) * i / (kLutSamples - 1);
+    for (int i = 0; i < kMppLutSamples; ++i) {
+      const double g = kMppLutGMin + (kMppLutGMax - kMppLutGMin) * i /
+                                         (kMppLutSamples - 1);
       const double p_meas = v_meas * pv_current(pv, v_meas, g, warm);
       if (p_meas <= last_p) continue;
       p.push_back(p_meas);
@@ -587,53 +466,41 @@ struct NodeRunner {
   }
 
   void reset_timer(double v) {
-    th_high_out = v > kVHigh;
-    th_low_out = v > kVLow;
+    th_high_out = v > tp.v_high.value();
+    th_low_out = v > tp.v_low.value();
     th_armed = false;
   }
 
   void on_start() {
-    iv = sh.iv.bind(s.pv_scale);
     build_ladder();
     build_lut();
     next_submit = s.job_phase.value();
     // MppTrackingController::on_start
     v_target = sh.vmpp_at(s.pv_scale, 1.0);
-    reset_timer(v_s);
+    reset_timer(st.v_s);
     level = 0;
-    cmd_path = PowerPath::kRegulated;
-    cmd_run = true;
+    cmd.path = PowerPath::kRegulated;
+    cmd.run = true;
     ladder_apply();
     // EnergyManager::on_start
-    prev_v_mgr = v_s;
+    prev_v_mgr = st.v_s;
     enter_tracking();
     if (events != nullptr) {
-      bank_size = std::min<std::size_t>(8, 3);
-      bank_out = {};
-      // SocConfig default bank {1.1, 1.0, 0.9}; reset at the start voltage.
-      for (std::size_t i = 0; i < bank_size; ++i) {
-        bank_out[i] = v_s > bank_threshold(i);
-      }
+      bank.emplace(sh.soc.comparator_thresholds);
+      bank->reset(Volts(st.v_s));
+      bank_edges.reserve(bank->size());
+      st.bank = &*bank;
     }
   }
 
-  [[nodiscard]] static double bank_threshold(std::size_t i) {
-    constexpr double kBank[3] = {1.1, 1.0, 0.9};
-    return kBank[i];
-  }
-
   void update_bank() {
-    for (std::size_t i = 0; i < bank_size; ++i) {
-      const double th = bank_threshold(i);
-      if (!bank_out[i] && v_s > th + kCompHalfHyst) {
-        bank_out[i] = true;
-        // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
-        events->push_back({static_cast<int>(i), true, Seconds(t)});
-      } else if (bank_out[i] && v_s < th - kCompHalfHyst) {
-        bank_out[i] = false;
-        // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
-        events->push_back({static_cast<int>(i), false, Seconds(t)});
-      }
+    bank->update_into(Volts(st.v_s), Seconds(st.t), bank_edges);
+    const std::vector<Volts>& th = bank->thresholds();
+    for (const ComparatorEvent& e : bank_edges) {
+      const auto i = std::find(th.begin(), th.end(), e.threshold) - th.begin();
+      // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
+      events->push_back(
+          {static_cast<int>(i), e.edge == Edge::kRising, e.time});
     }
   }
 
@@ -643,9 +510,9 @@ struct NodeRunner {
   // ---------------------------------------------------------------------
 
   void ladder_apply() {
-    level = std::clamp<long>(level, 0, kLadderSteps - 1);
-    cmd_vdd = ladder_v[static_cast<std::size_t>(level)];
-    cmd_freq = ladder_f[static_cast<std::size_t>(level)];
+    level = std::clamp<long>(level, 0, static_cast<long>(ladder_v.size()) - 1);
+    cmd.vdd_target = Volts(ladder_v[static_cast<std::size_t>(level)]);
+    cmd.frequency = Hertz(ladder_f[static_cast<std::size_t>(level)]);
   }
 
   void ladder_step(int delta) {
@@ -672,7 +539,7 @@ struct NodeRunner {
       // Memoized: at most 32 buckets per node-day reach this solve.
       // hemp-analyzer: allow(hot-path-purity) — cold memoized MEP branch
       const auto r = numeric::grid_refine_minimize(
-          objective, kVminProc, kVmaxProc, {.x_tol = 1e-6, .grid_points = 160});
+          objective, pc.vmin, pc.vmax, {.x_tol = 1e-6, .grid_points = 160});
       if (std::isfinite(r.value)) {
         slot.feasible = true;
         slot.vdd = r.x;
@@ -680,27 +547,28 @@ struct NodeRunner {
       }
     }
     if (slot.feasible) {
-      cmd_vdd = slot.vdd;
-      cmd_freq = slot.freq;
+      cmd.vdd_target = Volts(slot.vdd);
+      cmd.frequency = Hertz(slot.freq);
     }
   }
 
   void enter_tracking() {
     mgr = MgrState::kTracking;
-    cmd_path = bypass ? PowerPath::kBypass : PowerPath::kRegulated;
-    cmd_run = true;
+    cmd.path = bypass ? PowerPath::kBypass : PowerPath::kRegulated;
+    cmd.run = true;
     if (s.min_energy && !bypass) apply_mep(0.5);
   }
 
   void refresh_light_estimate() {
-    if (t < next_reassess) return;
-    next_reassess = t + kReassessPeriod;
-    const double dv = std::fabs(v_s - prev_v_mgr);
-    prev_v_mgr = v_s;
+    if (st.t < next_reassess) return;
+    next_reassess = st.t + mp.reassess_period.value();
+    const double dv = std::fabs(st.v_s - prev_v_mgr);
+    prev_v_mgr = st.v_s;
     if (dv > 0.01) return;
-    double p_draw = p_processor;
-    if (!bypass && p_draw > 0.0 && sc_supports(v_s, cmd_vdd)) {
-      const double eta = sc_efficiency(v_s, cmd_vdd, p_draw);
+    // The previous step's load (the stepper re-gates it after this eval).
+    double p_draw = st.p_load;
+    if (!bypass && p_draw > 0.0 && sc_supports(st.v_s, cmd.vdd_target.value())) {
+      const double eta = sc_efficiency(st.v_s, cmd.vdd_target.value(), p_draw);
       if (eta > 0.0) p_draw /= eta;
     }
     if (p_draw > 0.0) {
@@ -708,9 +576,9 @@ struct NodeRunner {
       has_pest = true;
     }
     if (has_pest && crossover_power > 0.0) {
-      if (!bypass && p_est < sh.bypass_enter * crossover_power) {
+      if (!bypass && p_est < mp.bypass_enter_ratio * crossover_power) {
         bypass = true;
-      } else if (bypass && p_est > sh.bypass_exit * crossover_power) {
+      } else if (bypass && p_est > mp.bypass_exit_ratio * crossover_power) {
         bypass = false;
       }
     }
@@ -718,11 +586,11 @@ struct NodeRunner {
 
   void seed_for_budget(double budget) {
     std::size_t chosen = 0;
-    for (std::size_t i = 0; i < kLadderSteps; ++i) {
+    for (std::size_t i = 0; i < ladder_v.size(); ++i) {
       const double v = ladder_v[i];
-      if (!sc_supports(v_s, v)) continue;
+      if (!sc_supports(st.v_s, v)) continue;
       const double pout = proc_max_power(pc, v);
-      const double eta = sc_efficiency(v_s, v, pout);
+      const double eta = sc_efficiency(st.v_s, v, pout);
       if (eta <= 0.0) continue;
       if (pout / eta <= budget) chosen = i;
     }
@@ -732,29 +600,32 @@ struct NodeRunner {
 
   /// ThresholdTimer::update flattened; returns the measured fall interval.
   std::optional<double> timer_update() {
+    const double v_s = st.v_s;
+    const double v_high = tp.v_high.value();
+    const double v_low = tp.v_low.value();
     bool high_fall = false, high_rise = false, low_fall = false;
-    if (!th_high_out && v_s > kVHigh + kCompHalfHyst) {
+    if (!th_high_out && v_s > v_high + flat::kCompHalfHyst) {
       th_high_out = true;
       high_rise = true;
-    } else if (th_high_out && v_s < kVHigh - kCompHalfHyst) {
+    } else if (th_high_out && v_s < v_high - flat::kCompHalfHyst) {
       th_high_out = false;
       high_fall = true;
     }
-    if (!th_low_out && v_s > kVLow + kCompHalfHyst) {
+    if (!th_low_out && v_s > v_low + flat::kCompHalfHyst) {
       th_low_out = true;
-    } else if (th_low_out && v_s < kVLow - kCompHalfHyst) {
+    } else if (th_low_out && v_s < v_low - flat::kCompHalfHyst) {
       th_low_out = false;
       low_fall = true;
     }
     if (high_fall) {
       th_armed = true;
-      th_armed_at = t;
+      th_armed_at = st.t;
     } else if (high_rise) {
       th_armed = false;
     }
     if (low_fall && th_armed) {
       th_armed = false;
-      const double interval = t - th_armed_at;
+      const double interval = st.t - th_armed_at;
       if (interval > 0.0) return interval;
     }
     return std::nullopt;
@@ -763,29 +634,34 @@ struct NodeRunner {
   void tracker_tick() {
     timer_watched = true;
     if (const auto fall = timer_update(); fall && *fall > 0.0) {
-      double p_draw = p_processor;
-      if (sc_supports(v_s, cmd_vdd) && p_draw > 0.0) {
-        const double eta = sc_efficiency(v_s, cmd_vdd, p_draw);
+      const double vdd = cmd.vdd_target.value();
+      double p_draw = st.p_load;
+      if (sc_supports(st.v_s, vdd) && p_draw > 0.0) {
+        const double eta = sc_efficiency(st.v_s, vdd, p_draw);
         if (eta > 0.0) p_draw /= eta;
       }
       // Eq. 7: subtract the cap's discharge contribution over the interval.
-      const double discharge =
-          0.5 * kTrackerCap * (kVHigh * kVHigh - kVLow * kVLow) / *fall;
+      const double v_high = tp.v_high.value();
+      const double v_low = tp.v_low.value();
+      const double discharge = 0.5 * tp.solar_capacitance.value() *
+                               (v_high * v_high - v_low * v_low) / *fall;
       const double p_in = std::max(p_draw - discharge, 0.0);
       v_target = (*lut_p2v)(p_in);
       seed_for_budget((*lut_p2p)(p_in));
-      next_control = t + kControlPeriod;
+      next_control = st.t + tp.control_period.value();
       return;
     }
     if (th_armed) return;
-    if (t < next_control) return;
-    next_control = t + kControlPeriod;
-    const double err = v_s - v_target;
-    const double dv = v_s - prev_v_trk;
-    prev_v_trk = v_s;
-    if (err > kDeadband && dv > -kSlewTol) {
+    if (st.t < next_control) return;
+    next_control = st.t + tp.control_period.value();
+    const double err = st.v_s - v_target;
+    const double dv = st.v_s - prev_v_trk;
+    prev_v_trk = st.v_s;
+    const double deadband = tp.deadband.value();
+    const double slew = tp.slew_tolerance.value();
+    if (err > deadband && dv > -slew) {
       ladder_step(+1);
-    } else if (err < -kDeadband && dv < kSlewTol) {
+    } else if (err < -deadband && dv < slew) {
       ladder_step(-1);
     }
   }
@@ -802,7 +678,7 @@ struct NodeRunner {
       const SprintPlan p =
           // hemp-analyzer: allow(hot-path-purity) — once-per-node plan
           scheduler.plan(sh.scenario.job_cycles, sh.scenario.job_deadline,
-                         kSprintFactor);
+                         mp.sprint_factor);
       plan.feasible = p.feasible;
       if (p.feasible) {
         plan.cycles = p.cycles;
@@ -818,15 +694,14 @@ struct NodeRunner {
       ++jobs_missed;
       return;
     }
-    sprinting = true;
-    sprint_started = t;
-    sprint_start_cycles = cycles;
+    sprint_started = st.t;
+    sprint_start_cycles = st.cycles;
     sprint_bypassed = false;
     mgr = MgrState::kSprinting;
-    cmd_path = PowerPath::kRegulated;
-    cmd_vdd = plan.slow_v;
-    cmd_freq = plan.slow_f;
-    cmd_run = true;
+    cmd.path = PowerPath::kRegulated;
+    cmd.vdd_target = Volts(plan.slow_v);
+    cmd.frequency = Hertz(plan.slow_f);
+    cmd.run = true;
   }
 
   void tick_tracking() {
@@ -836,16 +711,16 @@ struct NodeRunner {
     }
     refresh_light_estimate();
     if (bypass) {
-      cmd_path = PowerPath::kBypass;
-      if (v_d >= kVminProc && v_d <= kVmaxProc) {
-        cmd_freq = proc_fmax(pc, v_d);
-        cmd_run = true;
+      cmd.path = PowerPath::kBypass;
+      if (st.v_d >= pc.vmin && st.v_d <= pc.vmax) {
+        cmd.frequency = Hertz(proc_fmax(pc, st.v_d));
+        cmd.run = true;
       } else {
-        cmd_run = false;
+        cmd.run = false;
       }
       return;
     }
-    cmd_path = PowerPath::kRegulated;
+    cmd.path = PowerPath::kRegulated;
     if (!s.min_energy) {
       tracker_tick();
     } else {
@@ -864,54 +739,54 @@ struct NodeRunner {
     } else {
       ++jobs_missed;
     }
-    sprinting = false;
     mgr = MgrState::kRecovering;
-    cmd_run = false;
-    cmd_path = PowerPath::kRegulated;
+    cmd.run = false;
+    cmd.path = PowerPath::kRegulated;
   }
 
   void tick_sprinting() {
-    const double done = cycles - sprint_start_cycles;
-    const double elapsed = t - sprint_started;
+    const double done = st.cycles - sprint_start_cycles;
+    const double elapsed = st.t - sprint_started;
     if (done >= plan.cycles) {
       end_sprint(true);
       return;
     }
-    if (elapsed > plan.deadline * 1.5) {
+    if (elapsed > plan.deadline * kSprintOverrunFactor) {
       end_sprint(false);
       return;
     }
     if (sprint_bypassed) {
-      if (v_d >= kVminProc) {
+      if (st.v_d >= pc.vmin) {
         // The reference would fault above Vmax; the shared node can overshoot
         // it under strong sun, so the kernel clamps (documented divergence).
-        cmd_freq = proc_fmax(pc, std::min(v_d, kVmaxProc));
+        cmd.frequency = Hertz(proc_fmax(pc, std::min(st.v_d, pc.vmax)));
       }
       return;
     }
     const bool slow_phase = elapsed < plan.phase_time;
     const double op_v = slow_phase ? plan.slow_v : plan.fast_v;
-    cmd_vdd = op_v;
-    cmd_freq = slow_phase ? plan.slow_f : plan.fast_f;
-    const bool no_headroom = !sc_supports(v_s, op_v);
-    const bool sagging = v_d < op_v - kSagMargin && elapsed > kSagEnableTime;
+    cmd.vdd_target = Volts(op_v);
+    cmd.frequency = Hertz(slow_phase ? plan.slow_f : plan.fast_f);
+    const bool no_headroom = !sc_supports(st.v_s, op_v);
+    const bool sagging = st.v_d < op_v - kSprintSagMargin.value() &&
+                         elapsed > kSprintSagArmDelay.value();
     if (no_headroom || sagging) {
       sprint_bypassed = true;
-      cmd_path = PowerPath::kBypass;
+      cmd.path = PowerPath::kBypass;
     }
   }
 
   void tick_recovering() {
-    cmd_run = false;
-    cmd_path = PowerPath::kRegulated;
-    if (v_s >= kRecoverV || queue > 0) enter_tracking();
+    cmd.run = false;
+    cmd.path = PowerPath::kRegulated;
+    if (st.v_s >= mp.recover_voltage.value() || queue > 0) enter_tracking();
   }
 
   HEMP_HOT void controller_eval() {
     timer_watched = false;
     if (events != nullptr) update_bank();
     // PeriodicJobController::on_tick
-    if (sh.scenario.job_cycles > 0.0 && t >= next_submit) {
+    if (sh.scenario.job_cycles > 0.0 && st.t >= next_submit) {
       ++queue;
       ++jobs_submitted;
       next_submit += sh.scenario.job_period.value();
@@ -923,428 +798,93 @@ struct NodeRunner {
     }
   }
 
-  // ---------------------------------------------------------------------
-  // Event-driven stepping
-  // ---------------------------------------------------------------------
-
-  void solar_watches(WatchAccum& w) const {
-    if (timer_watched) {
-      w.level(v_s, th_high_out ? kVHigh - kCompHalfHyst : kVHigh + kCompHalfHyst);
-      w.level(v_s, th_low_out ? kVLow - kCompHalfHyst : kVLow + kCompHalfHyst);
-    }
-    if (events != nullptr) {
-      for (std::size_t i = 0; i < bank_size; ++i) {
-        const double th = bank_threshold(i);
-        w.level(v_s, bank_out[i] ? th - kCompHalfHyst : th + kCompHalfHyst);
-      }
-    }
-    if (mgr == MgrState::kRecovering) w.level(v_s, kRecoverV);
-    if (cmd_path == PowerPath::kRegulated) {
-      // Ratio boundaries: eta and the supports envelope change across them.
-      // The boundary set moves only when the commanded rail does, so the
-      // divides are cached across steps (ratio_bounds_for).
-      const std::array<double, flat::kScMaxRatios>& rb =
-          ratio_bounds_for(cmd_vdd);
-      for (std::size_t k = 0; k < kScFlat.n_ratios; ++k) {
-        w.level(v_s, rb[k]);
-      }
-    }
-  }
-
-  // Cached (cmd_vdd + margin) / ratio boundary levels for solar_watches.
-  mutable double ratio_bounds_vdd = std::numeric_limits<double>::quiet_NaN();
-  mutable std::array<double, flat::kScMaxRatios> ratio_bounds{};
-
-  const std::array<double, flat::kScMaxRatios>& ratio_bounds_for(
-      double vdd) const {
-    if (vdd != ratio_bounds_vdd) {
-      for (std::size_t k = 0; k < kScFlat.n_ratios; ++k) {
-        ratio_bounds[k] = (vdd + kScFlat.margin) / kScFlat.ratios[k];
-      }
-      ratio_bounds_vdd = vdd;
-    }
-    return ratio_bounds;
-  }
-
-  void rail_watches(WatchAccum& w) const {
-    if (cmd_run) {
-      const double vmin_trip =
-          vmin_latch && cmd_path == PowerPath::kBypass
-              ? kVminProc + kVminHysteresis
-              : kVminProc;
-      w.level(v_d, vmin_trip);
-    }
-    if (cmd_path == PowerPath::kBypass) w.level(v_d, kVmaxProc);
-    if (mgr == MgrState::kSprinting && !sprint_bypassed &&
-        t - sprint_started > kSagEnableTime) {
-      w.level(v_d, cmd_vdd - kSagMargin);
-    }
-  }
-
-  /// Choose the step length: jump to the next timed controller event, capped
-  /// by the analytic no-late-detection bounds dt <= C * dist / i_max for both
-  /// nodes (within a step every voltage is monotone — autonomous scalar
-  /// dynamics under constant step inputs — so endpoint sampling can never
-  /// miss a crossing; the bound keeps detection latency inside one
-  /// comparator hysteresis band).
-  HEMP_HOT double choose_dt(double g0, double p_load) {
-    using solver_stats::StepCause;
-    step_cause = StepCause::kDeadline;
-    // One regulator-envelope check per step: v_s and cmd_vdd are frozen
-    // until the epilogue, so the settle block, the watch bounds, and the
-    // integration pre-pass can all share it.
-    step_sc_ok = sc_supports(v_s, cmd_vdd);
-    double dt = std::min(day - t, can_run ? flat::kRunDtCap : kDtMax);
-    {
-      const double knot = trace.next_knot(t, cur);
-      if (knot > t && knot - t < dt) {
-        dt = knot - t;
-        step_cause = StepCause::kTraceKnot;
-      }
-    }
-    auto deadline = [&](double when) {
-      if (when > t && when - t < dt) {
-        dt = when - t;
-        step_cause = StepCause::kDeadline;
-      }
+  /// The controller's step advice (EnergyManager::step_hint, flattened).
+  /// Only deadlines strictly after t bound the step: a stale timer — the
+  /// tracker's control deadline while a fall measurement is armed, or the
+  /// reassess timer right after a job start — must not pin it to one tick.
+  /// The hint is reused across steps: only its counts and deadline reset.
+  HEMP_HOT void fill_hint() {
+    hint.event_driven = true;
+    hint.next_deadline_s = std::numeric_limits<double>::infinity();
+    hint.solar_watch_count = 0;
+    hint.rail_watch_count = 0;
+    const double t = st.t;
+    const auto future = [&](double when) {
+      if (when > t) hint.deadline(when);
     };
-    if (sh.scenario.job_cycles > 0.0) deadline(next_submit);
+    if (sh.scenario.job_cycles > 0.0) future(next_submit);
     if (mgr == MgrState::kTracking) {
-      deadline(next_reassess);
-      if (timer_watched) deadline(next_control);
-      if (queue > 0) {  // a job starts at the very next eval
-        dt = dt_min;
-        step_cause = StepCause::kDeadline;
+      future(next_reassess);
+      if (timer_watched) {
+        future(next_control);
+        // Threshold-timer levels, direction-resolved by the latched outputs.
+        const double v_high = tp.v_high.value();
+        const double v_low = tp.v_low.value();
+        hint.watch_solar(th_high_out ? v_high - flat::kCompHalfHyst
+                                     : v_high + flat::kCompHalfHyst);
+        hint.watch_solar(th_low_out ? v_low - flat::kCompHalfHyst
+                                    : v_low + flat::kCompHalfHyst);
       }
+      if (queue > 0) future(t + st.dt_ref);  // a job starts at the next eval
     } else if (mgr == MgrState::kSprinting) {
-      deadline(sprint_started + 1.5 * plan.deadline);
+      const double arm = kSprintSagArmDelay.value();
+      future(sprint_started + kSprintOverrunFactor * plan.deadline);
       if (!sprint_bypassed) {
-        deadline(sprint_started + plan.phase_time);
-        deadline(sprint_started + kSagEnableTime);
-      }
-      if (f_eff > 0.0) {
-        const double remaining = plan.cycles - (cycles - sprint_start_cycles);
-        deadline(t + remaining / f_eff);
-      }
-    }
-
-    // Regulated rail outside its settle band.  With the clock running, fine
-    // steps (~2*tau) are still needed: p_load(v_d) and the effective
-    // frequency clamp f_max(v_dd) must track the moving rail.  With the
-    // clock gated off, nothing rides the rail and the 3-regime map is exact
-    // in closed form for any dt — so instead of grinding capped micro-steps
-    // through (or, for a pinned rail, *at*) the transient, take one step to
-    // the closed-form episode endpoint: the tick where the rail first enters
-    // its band.  A pinned rail (regulator unsupported at the present solar
-    // voltage, or stuck above target with no load to sink into) has no
-    // endpoint and needs no settle cap at all — the watch bounds alone
-    // guarantee crossing detection.
-    if (cmd_path == PowerPath::kRegulated) {
-      const double e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd + p_load * dt_min;
-      const double v_eff = std::sqrt(2.0 * e_t / c_vdd);
-      if (std::fabs(v_d - v_eff) > kRailBand) {
-        if (p_load > 0.0) {
-          if (kRailSettleCap < dt) {
-            dt = kRailSettleCap;
-            step_cause = StepCause::kSettle;
-          }
-        } else {
-          double dt_settle = std::numeric_limits<double>::infinity();
-          if (step_sc_ok) {
-            const double e_0 = 0.5 * c_vdd * v_d * v_d;
-            const double v_lo = v_eff - kRailBand;
-            const double v_hi = v_eff + kRailBand;
-            dt_settle = flat::rail_settle_dt(
-                e_0, e_t, dt_min, kTau, 0.0, kScFlat.rated,
-                0.5 * c_vdd * v_lo * v_lo, 0.5 * c_vdd * v_hi * v_hi);
-            // The rail side of a long episode is exact, and integrate()
-            // prices conversion losses per regime — but eta(vin) and the
-            // supports check still freeze at step start, and relaxing this
-            // cap measurably degrades the max-perf duty-cycling nodes in
-            // the equivalence suite (systematically past ~2x, marginally at
-            // 2x; see DESIGN.md 6h).  Supported episodes therefore keep the
-            // classic ~2*tau cap — the closed form still lands them exactly
-            // on the band-entry tick when that comes sooner.  Only the
-            // *pinned* rail (unsupported, no endpoint) runs uncapped; that
-            // is where the old cap burned steps grinding a frozen transient.
-            dt_settle = std::min(dt_settle, kRailSettleCap);
-          }
-          if (dt_settle < dt) {
-            dt = std::max(dt_settle, dt_min);
-            step_cause = StepCause::kSettle;
-          }
+        future(sprint_started + plan.phase_time);
+        future(sprint_started + arm);
+        if (t - sprint_started > arm) {
+          hint.watch_rail(cmd.vdd_target.value() - kSprintSagMargin.value());
         }
       }
-    }
-    // Analytic watch bounds.  G is linear between knots and dt never crosses
-    // a knot, so max irradiance over the step sits at its endpoints.
-    const double g_end = trace.constant ? g0 : trace.at(t + dt, cur);
-    const double g_hi = std::max(g0, g_end);
-
-    // Max terminal current the cell can source anywhere on an *upward* path
-    // from the present voltage (i_pv is decreasing in v, increasing in g).
-    // Only the bypass swing cap reads it — the watch bounds below all walk
-    // the surface directly (wb.iv is always set here), so regulated steps
-    // skip the lookup.
-    double i_pv_now = 0.0;
-
-    // Bypass: the clock rides the shared node, so bound the rail swing per
-    // step to keep the frequency error within ~1%.  The swing rate is the
-    // *net* current into the merged node — near the operating equilibrium it
-    // is tiny, so this is an accuracy cap, not a tick-scale clamp (the watch
-    // bounds below independently guarantee crossing detection).
-    if (cmd_path != PowerPath::kRegulated) {
-      i_pv_now = cell_i(v_s, g_hi);
-      if (can_run) {
-        const double i_load = p_load / std::max(v_d, kWatchVFloor);
-        const double i_net = std::fabs(i_pv_now - i_load);
-        const double rate = (1.5 * i_net + 1e-6) / (c_solar + c_vdd);
-        if (rate > 0.0 && kBypassDvCap / rate < dt) {
-          dt = kBypassDvCap / rate;
-          step_cause = StepCause::kWatchBound;
-        }
+      if (st.f_eff > 0.0) {
+        const double remaining = plan.cycles - (st.cycles - sprint_start_cycles);
+        future(t + remaining / st.f_eff);
       }
-    }
-
-    WatchAccum ws, wd;
-    solar_watches(ws);
-    rail_watches(wd);
-    // Shared analytic no-late-detection bounds (see flat::watch_bound_dt for
-    // the monotonicity argument and the per-direction rate derivations).
-    flat::WatchBoundIn wb;
-    wb.dt = dt;
-    wb.half_hyst = kCompHalfHyst;
-    wb.v_floor = kWatchVFloor;
-    wb.v_s = v_s;
-    wb.v_d = v_d;
-    wb.c_solar = c_solar;
-    wb.c_vdd = c_vdd;
-    wb.i_pv_now = i_pv_now;
-    wb.p_load = p_load;
-    wb.regulated = cmd_path == PowerPath::kRegulated;
-    wb.conducting = cmd_path == PowerPath::kBypass && v_s > v_d;
-    wb.cmd_vdd = cmd_vdd;
-    wb.e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd + p_load * dt_min;
-    wb.e_0 = 0.5 * c_vdd * v_d * v_d;
-    wb.tau = kTau;
-    wb.dt_ref = dt_min;
-    wb.sc_ok = step_sc_ok;
-    wb.sc = &kScFlat;
-    wb.iv = &iv;
-    wb.g_hi = g_hi;
-    wb.g_lo = std::min(g0, g_end);
-    const double dt_watched = flat::watch_bound_dt(wb, ws, wd);
-    if (dt_watched < dt) {
-      dt = dt_watched;
-      step_cause = StepCause::kWatchBound;
-    }
-
-    // Quantize to whole reference ticks (flooring preserves every bound
-    // above) so controller evals, job adjudication, and the discrete rail
-    // map all land on the same instants the fixed-step loop uses; then
-    // clamp to the day end (the final partial step may be sub-tick).
-    const double ticks = std::max(1.0, std::floor(dt / dt_min + 1e-6));
-    dt = ticks * dt_min;
-    return std::min(dt, day - t);
-  }
-
-  // ---------------------------------------------------------------------
-  // Physics integration (shared hemp::flat primitives: implicit midpoint on
-  // the stiff solar node, exact closed-form regulated rail).
-  //
-  // The step is split into a prologue (controller, dt selection, and
-  // everything of the integration except the solar-node Newton solve) and
-  // an epilogue (rail update, metrics, time advance) so a lane driver can
-  // batch the solve across nodes via flat::integrate_solar_lane.  Steps the
-  // lane cannot express — the conducting-bypass merged two-node solve —
-  // integrate scalar inside the prologue and skip the lane entirely, so the
-  // per-node arithmetic is identical either way.
-  // ---------------------------------------------------------------------
-
-  struct StepPlan {
-    double g0 = 0.0;
-    double dt = 0.0;
-    double g_mid = 0.0;
-    double p_load = 0.0;
-    bool solar_solve = false;  ///< step needs an integrate_solar solve
-    double p_in = 0.0;         ///< regulator source-side draw for the solve
-    double p_out = 0.0;        ///< regulator output power for the rail update
-  };
-
-  HEMP_HOT void integrate_pre(StepPlan& pl) {
-    pl.solar_solve = true;
-    pl.p_in = 0.0;
-    pl.p_out = 0.0;
-    if (cmd_path == PowerPath::kRegulated) {
-      if (!step_sc_ok) return;
-      {
-        // Closed-form restoration matching the reference tick map exactly
-        // (see flat::rail_regulated_step for the 3-regime derivation).  The
-        // steady rail rides at sqrt(vt^2 + 2*p_load*dt_ref/C), which keeps
-        // the commanded frequency off the f_max clamp.
-        const double e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd +
-                           pl.p_load * dt_min;
-        const double e_0 = 0.5 * c_vdd * v_d * v_d;
-        const flat::RailEpisode ep = flat::rail_regulated_episode(
-            e_0, e_t, pl.dt, dt_min, kTau, pl.p_load, kScFlat.rated,
-            &pow_memo);
-        // Conversion losses priced per regime: the ramp pins p_out at rated,
-        // the drain pins it at zero, and the geometric phase transfers its
-        // own average — so a one-step settle episode sees the same eta
-        // profile the capped micro-steps used to walk through, instead of
-        // one lookup at the smeared rated-to-zero average.
-        double e_in = 0.0;   // source-side energy drawn over the step
-        double e_out = 0.0;  // regulator output energy over the step
-        if (ep.t_ramp > 0.0) {
-          const double eta = sc_efficiency(v_s, cmd_vdd, kScFlat.rated);
-          if (eta > 0.0) {
-            e_out += kScFlat.rated * ep.t_ramp;
-            e_in += kScFlat.rated * ep.t_ramp / eta;
-          }
-        }
-        if (ep.t_decay > 0.0) {
-          const double p_restore = (ep.e_end - ep.e_decay_0) / ep.t_decay;
-          const double p_dec =
-              std::clamp(pl.p_load + p_restore, 0.0, kScFlat.rated);
-          if (p_dec > 0.0) {
-            const double eta = sc_efficiency(v_s, cmd_vdd, p_dec);
-            if (eta > 0.0) {
-              e_out += p_dec * ep.t_decay;
-              e_in += p_dec * ep.t_decay / eta;
-            }
-          }
-        }
-        pl.p_out = e_out / pl.dt;
-        pl.p_in = e_in / pl.dt;
-      }
-      return;
-    }
-
-    // Bypass (and kOff, which the manager never commands): the switch
-    // conducts solar -> rail when v_s > v_d.  The discrete reference update
-    // rings at tau_RC ~ R*C_parallel ~ 8 us; the kernel integrates the
-    // merged quasi-steady limit instead (charge-conserving, same energy).
-    if (cmd_path == PowerPath::kBypass && v_s > v_d) {
-      const flat::BypassStepResult r = flat::integrate_bypass_merged(
-          iv, c_solar, c_vdd, kBypassR, v_s, v_d, pl.dt, pl.g_mid, pl.p_load,
-          kWatchVFloor);
-      if (r.conducted) {
-        harvested += pl.dt * r.p_harvest_avg;
-        pl.solar_solve = false;  // merged solve integrated both nodes
-        return;
-      }
-      // Diode would block: treat as detached for this step (p_in stays 0).
+    } else {
+      hint.watch_solar(mp.recover_voltage.value());
     }
   }
 
   // ---------------------------------------------------------------------
-  // Main loop
+  // Main loop: the stepper's prologue/epilogue split, so a lane driver can
+  // batch the solar solve across nodes via flat::integrate_solar_lane.
   // ---------------------------------------------------------------------
 
-  bool done() const { return t >= day - 1e-15; }
-
-  /// Controller + dt selection + integration pre-pass for one step.
-  HEMP_HOT void step_prologue(StepPlan& pl) {
-    {
-      const double g0 = trace.at(t, cur);
-      pl.g0 = g0;
-      controller_eval();
-
-      // Load for this step (reference tick semantics: rail voltage gates the
-      // clock; commanded frequency clamps at f_max(v_dd)).
-      if (v_d < kVminProc) {
-        vmin_latch = true;
-      } else if (v_d >= kVminProc + (cmd_path == PowerPath::kBypass
-                                         ? kVminHysteresis
-                                         : 0.0)) {
-        vmin_latch = false;
-      }
-      can_run = cmd_run && !vmin_latch && v_d <= kVmaxProc;
-      double p_load = 0.0;
-      f_eff = 0.0;
-      if (can_run) {
-        const double v_fm = std::clamp(v_d, kVminProc, kVmaxProc);
-        if (v_fm != fmax_key) {
-          fmax_key = v_fm;
-          fmax_val = proc_fmax(pc, v_fm);
-        }
-        const double fmax_now = fmax_val;
-        f_eff = cmd_freq;
-        bool clamped = false;
-        if (f_eff > fmax_now) {
-          clamped = true;
-          f_eff = fmax_now;
-        }
-        // The reference counts clamped *ticks*; the kernel counts clamp
-        // episodes (transitions into the clamped condition).
-        if (clamped && !fault_latch) ++timing_faults;
-        fault_latch = clamped;
-        if (v_d != pload_key_v || f_eff != pload_key_f) {
-          pload_key_v = v_d;
-          pload_key_f = f_eff;
-          pload_val = proc_power(pc, v_d, f_eff);
-        }
-        p_load = pload_val;
-      } else {
-        fault_latch = false;
-        if (was_running && cmd_run) ++brownouts;
-      }
-      was_running = can_run;
-      pl.p_load = p_load;
-      pl.dt = choose_dt(g0, p_load);
-    }
-    ++step_counts[static_cast<int>(step_cause)];
-    pl.g_mid = trace.at(t + 0.5 * pl.dt, cur);
-    integrate_pre(pl);
+  /// Controller + load gate + dt selection + integration pre-pass.
+  HEMP_HOT void step_prologue(flat::StepPlan& pl) {
+    g0 = st.irradiance();
+    controller_eval();
+    st.gate(cmd);
+    fill_hint();
+    st.prologue(cmd, hint, g0, pl);
   }
 
-  /// Rail update + per-step metrics + time advance.  `p_avg` is the solar
-  /// Newton solve's average harvested power (ignored when the prologue
-  /// already integrated the step via the merged bypass solve).
-  HEMP_HOT void step_epilogue(const StepPlan& pl, double p_avg) {
-    if (pl.solar_solve) {
-      harvested += pl.dt * p_avg;
-      double e_d = 0.5 * c_vdd * v_d * v_d + (pl.p_out - pl.p_load) * pl.dt;
-      if (e_d < 0.0) e_d = 0.0;
-      v_d = std::sqrt(2.0 * e_d / c_vdd);
-    }
-
-    // Metrics over the step.
-    if (can_run) {
-      cycles += f_eff * pl.dt;
-      delivered += pl.p_load * pl.dt;
-    } else if (cmd_run) {
-      halted += pl.dt;
-    }
-    // MPPT tracking error, dt-weighted (the reference averages uniform
-    // waveform samples under the same predicate).
-    if (cmd_path == PowerPath::kRegulated && f_eff > 0.0 && pl.g0 >= 0.05) {
-      const double g_q = std::round(pl.g0 * 100.0) / 100.0;
+  /// Stepper epilogue + the MPPT tracking error, dt-weighted (the reference
+  /// averages uniform waveform samples under the same predicate).
+  HEMP_HOT void step_epilogue(const flat::StepPlan& pl, double p_avg) {
+    st.epilogue(cmd, pl, p_avg);
+    if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
+      const double g_q = std::round(g0 * 100.0) / 100.0;
       if (g_q >= 0.05) {
         const double vmpp = sh.vmpp_at(s.pv_scale, g_q);
         if (vmpp > 0.0) {
-          mppt_num += pl.dt * std::fabs(v_s - vmpp) / vmpp;
+          mppt_num += pl.dt * std::fabs(st.v_s - vmpp) / vmpp;
           mppt_den += pl.dt;
         }
       }
     }
-    p_processor = pl.p_load;
-    t += pl.dt;
   }
 
   /// Day-end flush: comparator-bank edges, step accounting, result build.
   NodeResult finish() {
     if (events != nullptr) update_bank();  // final edge flush at day end
-    for (int c = 0; c < solver_stats::kStepCauseCount; ++c) {
-      solver_stats::count_steps(static_cast<solver_stats::StepCause>(c),
-                                step_counts[static_cast<std::size_t>(c)]);
-    }
+    st.flush_step_counts();
 
     NodeResult out;
     out.sample = s;
-    out.cycles = cycles;
-    out.brownouts = brownouts;
-    out.timing_faults = timing_faults;
+    out.cycles = st.cycles;
+    out.brownouts = st.brownouts;
+    out.timing_faults = st.timing_faults;
     out.jobs_submitted = jobs_submitted;
     out.jobs_completed = jobs_completed;
     out.jobs_missed = jobs_missed;
@@ -1353,11 +893,12 @@ struct NodeRunner {
         adjudicated > 0 ? static_cast<double>(jobs_completed) / adjudicated
                         : 1.0;
     out.mppt_error = mppt_den > 0.0 ? mppt_num / mppt_den : 0.0;
-    out.harvested = Joules(harvested);
-    out.delivered = Joules(delivered);
-    out.halted = Seconds(halted);
-    out.energy_per_job =
-        jobs_completed > 0 ? Joules(delivered / jobs_completed) : Joules(0.0);
+    out.harvested = Joules(st.harvested);
+    out.delivered = Joules(st.delivered);
+    out.halted = Seconds(st.halted);
+    out.energy_per_job = jobs_completed > 0
+                             ? Joules(st.delivered / jobs_completed)
+                             : Joules(0.0);
     return out;
   }
 
@@ -1368,15 +909,10 @@ struct NodeRunner {
     // One-time setup before the stepped loop (builds LUT/ladder buffers).
     // hemp-analyzer: allow(hot-path-purity) — setup edge, not per-step
     on_start();
-    StepPlan pl;
-    while (!done()) {
+    flat::StepPlan pl;
+    while (!st.done()) {
       step_prologue(pl);
-      double p_avg = 0.0;
-      if (pl.solar_solve) {
-        p_avg =
-            flat::integrate_solar(iv, c_solar, v_s, pl.dt, pl.g_mid, pl.p_in);
-      }
-      step_epilogue(pl, p_avg);
+      step_epilogue(pl, st.solve(pl));
     }
     return finish();
   }
@@ -1398,25 +934,15 @@ void run_nodes_laned(const BatchFleetKernel::Shared& sh, int lo, int hi,
   constexpr int kW = flat::kSolarLaneWidth;
   std::array<std::optional<NodeRunner>, kW> slot;
   std::array<int, kW> node_of{};
-  std::array<NodeRunner::StepPlan, kW> plan{};
+  std::array<flat::StepPlan, kW> plan{};
   int next = lo;
   int active = 0;
 
   const auto fill = [&](int w) {
-    const std::size_t i = static_cast<std::size_t>(next);
-    slot[static_cast<std::size_t>(w)].emplace(
-        NodeRunner{sh,
-                   sh.samples[i],
-                   sh.pv[i],
-                   sh.proc[i],
-                   sh.shared_sky ? sh.sky : sh.traces[i],
-                   sh.samples[i].solar_capacitance.value(),
-                   sh.scenario.vdd_cap.value(),
-                   sh.scenario.day_length.value(),
-                   sh.scenario.time_step.value(),
-                   sh.crossover_power[i]});
+    auto& r = slot[static_cast<std::size_t>(w)];
+    r.emplace(sh, static_cast<std::size_t>(next));
     node_of[static_cast<std::size_t>(w)] = next++;
-    slot[static_cast<std::size_t>(w)]->on_start();
+    r->on_start();
     ++active;
   };
   for (int w = 0; w < kW && next < hi; ++w) fill(w);
@@ -1434,9 +960,9 @@ void run_nodes_laned(const BatchFleetKernel::Shared& sh, int lo, int hi,
       r->step_prologue(pl);
       if (pl.solar_solve) {
         const auto e = static_cast<std::size_t>(n_lane);
-        iv_g[e] = r->iv;
-        c_g[e] = r->c_solar;
-        v_g[e] = r->v_s;
+        iv_g[e] = r->st.iv;
+        c_g[e] = r->st.c_solar;
+        v_g[e] = r->st.v_s;
         dt_g[e] = pl.dt;
         gm_g[e] = pl.g_mid;
         pin_g[e] = pl.p_in;
@@ -1456,12 +982,12 @@ void run_nodes_laned(const BatchFleetKernel::Shared& sh, int lo, int hi,
       double p_avg = 0.0;
       if (pl.solar_solve) {
         const auto ei = static_cast<std::size_t>(e);
-        r->v_s = v_g[ei];
+        r->st.v_s = v_g[ei];
         p_avg = pavg_g[ei];
         ++e;
       }
       r->step_epilogue(pl, p_avg);
-      if (r->done()) {
+      if (r->st.done()) {
         out[node_of[static_cast<std::size_t>(w)]] = r->finish();
         r.reset();
         --active;
@@ -1474,40 +1000,17 @@ void run_nodes_laned(const BatchFleetKernel::Shared& sh, int lo, int hi,
 }  // namespace
 
 NodeResult BatchFleetKernel::run_node(int index) const {
-  const Shared& sh = *shared_;
-  HEMP_REQUIRE(index >= 0 && index < sh.scenario.nodes,
+  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
-  const std::size_t i = static_cast<std::size_t>(index);
-  NodeRunner lane{sh,
-                  sh.samples[i],
-                  sh.pv[i],
-                  sh.proc[i],
-                  sh.shared_sky ? sh.sky : sh.traces[i],
-                  sh.samples[i].solar_capacitance.value(),
-                  sh.scenario.vdd_cap.value(),
-                  sh.scenario.day_length.value(),
-                  sh.scenario.time_step.value(),
-                  sh.crossover_power[i]};
+  NodeRunner lane(*shared_, static_cast<std::size_t>(index));
   return lane.run();
 }
 
 NodeResult BatchFleetKernel::run_node_traced(
     int index, std::vector<BatchComparatorEvent>& events) const {
-  const Shared& sh = *shared_;
-  HEMP_REQUIRE(index >= 0 && index < sh.scenario.nodes,
+  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
-  const std::size_t i = static_cast<std::size_t>(index);
-  NodeRunner lane{sh,
-                  sh.samples[i],
-                  sh.pv[i],
-                  sh.proc[i],
-                  sh.shared_sky ? sh.sky : sh.traces[i],
-                  sh.samples[i].solar_capacitance.value(),
-                  sh.scenario.vdd_cap.value(),
-                  sh.scenario.day_length.value(),
-                  sh.scenario.time_step.value(),
-                  sh.crossover_power[i],
-                  &events};
+  NodeRunner lane(*shared_, static_cast<std::size_t>(index), &events);
   return lane.run();
 }
 

@@ -9,8 +9,9 @@
 // scenarios, CLIs, and the tournament harness select policies by string.
 //
 // Three execution tiers, fastest first:
-//   * batch_spec()      — policies expressible as the flattened EnergyManager
-//     parameterization run on the SoA batch fleet kernel;
+//   * manager_params()  — EnergyManager-backed policies expose their
+//     parameters; the SoA batch fleet kernel runs the ones its flattened
+//     manager lane implements (FIFO queue) and refuses the rest;
 //   * make_controller() — every policy builds a SocController; controllers
 //     that implement SocController::step_hint run on the single-node
 //     surface-only fast path (policies opt in via fast_path());
@@ -28,6 +29,8 @@
 #include "sim/soc_system.hpp"
 
 namespace hemp {
+
+struct EnergyManagerParams;  // core/energy_manager.hpp
 
 /// Periodic deadline-job workload one node runs (mirrors the fleet scenario's
 /// job fields; cycles == 0 disables the workload).
@@ -67,17 +70,6 @@ class PolicyController : public SocController {
   [[nodiscard]] virtual PolicyJobStats job_stats() const = 0;
 };
 
-/// Flattened parameterization consumed by the batch fleet kernel: a policy
-/// representable as the kernel's built-in manager lane (MPP tracking or MEP
-/// hold plus the hysteretic low-light bypass rule) returns one of these and
-/// rides the SoA fast path; everything else runs the reference engine.
-struct BatchPolicySpec {
-  bool min_energy = false;      ///< MEP hold instead of MPP-tracking DVFS
-  bool bypass_enabled = true;   ///< false: never take the low-light bypass
-  double bypass_enter_ratio = 0.9;  ///< enter bypass below ratio * crossover
-  double bypass_exit_ratio = 1.2;   ///< leave bypass above ratio * crossover
-};
-
 /// Analytic per-node score returned by offline policies (the DP oracle):
 /// the outcome the fleet reduction records *instead of* simulating the node.
 struct OfflineScore {
@@ -109,9 +101,11 @@ class EnergyPolicy {
     return std::nullopt;
   }
 
-  /// Flattened spec for the batch fleet kernel; nullopt -> reference engine.
-  [[nodiscard]] virtual std::optional<BatchPolicySpec> batch_spec() const {
-    return std::nullopt;
+  /// The EnergyManager parameters an EnergyManager-backed policy is built
+  /// from; null for every other policy.  The batch fleet kernel runs a
+  /// forced policy only when this is non-null (and the queue is FIFO).
+  [[nodiscard]] virtual const EnergyManagerParams* manager_params() const {
+    return nullptr;
   }
 
   /// True when the policy's controller implements a sound

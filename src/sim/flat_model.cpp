@@ -340,9 +340,14 @@ RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
       e_end += k1 * step_e;
       k -= k1;
       out.t_ramp = k1 * dt_ref;
-    } else if (e_end > e_lo && p_load > 0.0) {
+    } else if (e_end > e_lo) {
+      // Above the band the map drains at p_load; with no load the regulator
+      // cannot sink, so the rail is pinned for the whole step.
       const double step_e = p_load * dt_ref;
-      const double k2 = std::min(k, std::ceil((e_end - e_lo) / step_e - 1e-9));
+      const double k2 =
+          p_load > 0.0
+              ? std::min(k, std::ceil((e_end - e_lo) / step_e - 1e-9))
+              : k;
       e_end -= k2 * step_e;
       k -= k2;
       out.t_drain = k2 * dt_ref;
@@ -633,23 +638,18 @@ double watch_bound_dt(const WatchBoundIn& in, const WatchAccum& ws,
   // moves either node spreads over the merged capacitance.
   const double c_sol_eff = in.conducting ? in.c_solar + in.c_vdd : in.c_solar;
   const double c_rail_eff = in.conducting ? in.c_solar + in.c_vdd : in.c_vdd;
-  // Solar node, upward crossings: only photocurrent charges the node.  With
-  // the IV surface at hand, walk the per-cell crossing time of
-  // the frozen-input dynamics (photocurrent falls along an upward path, so
-  // freezing it at the initial value — the fallback — badly underestimates
-  // the crossing time near the diode knee).  The merged bypass node also
-  // fights the processor draw; p_load / v_level under-states that draw
-  // everywhere on the path, keeping the bound valid.
+  // Solar node, upward crossings: only photocurrent charges the node.  Walk
+  // the per-cell crossing time of the frozen-input dynamics (photocurrent
+  // falls along an upward path, so freezing it at the initial value badly
+  // underestimates the crossing time near the diode knee).  The merged
+  // bypass node also fights the processor draw; p_load / v_level
+  // under-states that draw everywhere on the path, keeping the bound valid.
   if (std::isfinite(ws.up)) {
-    if (in.iv != nullptr) {
-      const double v_to = in.v_s + up_s;
-      const double i_opp =
-          in.conducting ? in.p_load / std::max(v_to, in.v_floor) : 0.0;
-      dt = std::min(dt, solar_rise_dt(*in.iv, c_sol_eff, in.v_s, v_to,
-                                      in.g_hi, i_opp, dt));
-    } else if (in.i_pv_now > 0.0) {
-      dt = std::min(dt, c_sol_eff * up_s / in.i_pv_now);
-    }
+    const double v_to = in.v_s + up_s;
+    const double i_opp =
+        in.conducting ? in.p_load / std::max(v_to, in.v_floor) : 0.0;
+    dt = std::min(dt, solar_rise_dt(*in.iv, c_sol_eff, in.v_s, v_to, in.g_hi,
+                                    i_opp, dt));
   }
   // Solar node, downward crossings: only the source-side draw discharges it
   // (p_in = (p_out + fixed loss)/eta_lin grows monotonically with p_out, and
@@ -673,16 +673,12 @@ double watch_bound_dt(const WatchBoundIn& in, const WatchAccum& ws,
                                      in.v_floor);
     }
     if (i_bound > 0.0) {
-      if (in.iv != nullptr) {
-        // Exact fall integral: the photocurrent *opposes* the discharge and
-        // grows as the node falls, so a node harvesting near its draw parks
-        // instead of grinding bound-limited steps toward a level it will
-        // never cross.
-        dt = std::min(dt, solar_fall_dt(*in.iv, c_sol_eff, in.v_s,
-                                        in.v_s - dn_s, in.g_lo, i_bound, dt));
-      } else {
-        dt = std::min(dt, c_sol_eff * dn_s / i_bound);
-      }
+      // Exact fall integral: the photocurrent *opposes* the discharge and
+      // grows as the node falls, so a node harvesting near its draw parks
+      // instead of grinding bound-limited steps toward a level it will
+      // never cross.
+      dt = std::min(dt, solar_fall_dt(*in.iv, c_sol_eff, in.v_s, in.v_s - dn_s,
+                                      in.g_lo, i_bound, dt));
     }
   }
   if (in.regulated) {
@@ -714,16 +710,12 @@ double watch_bound_dt(const WatchBoundIn& in, const WatchAccum& ws,
     // photocurrent bound; a detached rail cannot rise), and only the
     // processor load can discharge it.
     if (std::isfinite(wd.up) && in.conducting) {
+      // Integrate from v_d: the merged node sits at or above it, and the
+      // photocurrent only falls with voltage, so this is conservative.
       const double v_to = in.v_d + wd.up + in.half_hyst;
-      if (in.iv != nullptr) {
-        // Integrate from v_d: the merged node sits at or above it, and the
-        // photocurrent only falls with voltage, so this is conservative.
-        const double i_opp = in.p_load / std::max(v_to, in.v_floor);
-        dt = std::min(dt, solar_rise_dt(*in.iv, c_rail_eff, in.v_d, v_to,
-                                        in.g_hi, i_opp, dt));
-      } else if (in.i_pv_now > 0.0) {
-        dt = std::min(dt, c_rail_eff * (wd.up + in.half_hyst) / in.i_pv_now);
-      }
+      const double i_opp = in.p_load / std::max(v_to, in.v_floor);
+      dt = std::min(dt, solar_rise_dt(*in.iv, c_rail_eff, in.v_d, v_to,
+                                      in.g_hi, i_opp, dt));
     }
     if (std::isfinite(wd.down) && in.p_load > 0.0) {
       const double i_bound =

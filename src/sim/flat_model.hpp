@@ -24,6 +24,9 @@
 //   * WatchAccum / watch_bound_dt — direction-resolved analytic
 //     no-late-detection step bounds for voltage watch levels.
 //
+// flat::NodeStepper (sim/flat_stepper.hpp) is the one step loop both engines
+// run over these primitives.
+//
 // Everything here mirrors the corresponding exact component (PvCell,
 // SwitchedCapRegulator, SpeedModel/PowerModel, SocSystem's tick map); the
 // equivalence suites in tests/fleet and tests/sim are the guardrails that
@@ -510,7 +513,6 @@ struct WatchBoundIn {
   double v_floor = kWatchVFloor;
   double v_s = 0.0, v_d = 0.0;
   double c_solar = 0.0, c_vdd = 0.0;
-  double i_pv_now = 0.0;  ///< cell current at (v_s, max irradiance on step)
   double p_load = 0.0;
   bool regulated = false;   ///< commanded path is the regulator
   bool conducting = false;  ///< bypass commanded and v_s > v_d
@@ -519,7 +521,7 @@ struct WatchBoundIn {
   double tau = 0.0, dt_ref = 0.0;
   bool sc_ok = false;  ///< sc_supports(v_s, cmd_vdd)
   const FlatSc* sc = nullptr;
-  /// Optional IV surface view + step-max irradiance: lets the upward bounds
+  /// IV surface view (required) + step-max irradiance: the upward bounds
   /// walk the per-cell crossing time (solar_rise_dt) instead of freezing
   /// the photocurrent at its initial (highest-on-path) value.
   const IvSurface::Bound* iv = nullptr;

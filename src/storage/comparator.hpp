@@ -15,6 +15,10 @@ namespace hemp {
 
 enum class Edge { kRising, kFalling };
 
+/// Default hysteresis band of every comparator (symmetric around the
+/// threshold: the output flips half a band past it).
+inline constexpr Volts kComparatorHysteresis{0.005};
+
 struct ComparatorEvent {
   Edge edge;
   Seconds time;
@@ -24,7 +28,7 @@ struct ComparatorEvent {
 /// Single comparator with symmetric hysteresis around its threshold.
 class Comparator {
  public:
-  Comparator(Volts threshold, Volts hysteresis = Volts(0.005));
+  Comparator(Volts threshold, Volts hysteresis = kComparatorHysteresis);
 
   /// Feed one voltage sample at time `t`; returns an event when the output
   /// toggles.  Samples must arrive in non-decreasing time order.
@@ -47,7 +51,7 @@ class Comparator {
 class ComparatorBank {
  public:
   explicit ComparatorBank(std::vector<Volts> thresholds,
-                          Volts hysteresis = Volts(0.005));
+                          Volts hysteresis = kComparatorHysteresis);
 
   /// Feed a sample to every comparator; returns all toggles this sample.
   std::vector<ComparatorEvent> update(Volts v, Seconds t);
@@ -72,7 +76,8 @@ class ComparatorBank {
 /// fires on the falling edge through v_low.
 class ThresholdTimer {
  public:
-  ThresholdTimer(Volts v_high, Volts v_low, Volts hysteresis = Volts(0.005));
+  ThresholdTimer(Volts v_high, Volts v_low,
+                 Volts hysteresis = kComparatorHysteresis);
 
   /// Returns the measured interval when the low edge completes a measurement.
   std::optional<Seconds> update(Volts v, Seconds t);

@@ -88,9 +88,27 @@ TEST(PolicyZoo, BatchKernelRejectsPoliciesWithoutBatchSpec) {
   }
 }
 
+TEST(PolicyZoo, BatchKernelAcceptsExactlyTheFifoManagerPolicies) {
+  // The batch kernel's constructor is the routing decision: it runs the
+  // EnergyManager-backed FIFO policies and refuses every other one.
+  for (const char* name :
+       {"oracle_dp", "edf_sprint", "greedy_mpp", "duty25", "duty50"}) {
+    EXPECT_THROW(BatchFleetKernel(smoke_scenario(std::string("policy = ") +
+                                                 name + "\n")),
+                 ModelError)
+        << name;
+  }
+  for (const char* name :
+       {"mpp_track", "mep_hold", "hyst_eager", "hyst_reluctant"}) {
+    EXPECT_NO_THROW(BatchFleetKernel(smoke_scenario(std::string("policy = ") +
+                                                    name + "\n")))
+        << name;
+  }
+}
+
 TEST(PolicyZoo, OracleIsOfflineOnly) {
   const EnergyPolicy& oracle = PolicyRegistry::global().at("oracle_dp");
-  EXPECT_FALSE(oracle.batch_spec().has_value());
+  EXPECT_EQ(oracle.manager_params(), nullptr);
   EXPECT_THROW((void)oracle.make_controller(PolicyContext{}), ModelError);
 }
 

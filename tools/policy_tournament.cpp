@@ -6,9 +6,9 @@
 //                     [--json NAME.json] [--bench-json PATH]
 //
 // Runs every (policy, scenario, corner) cell on the fleet engine — the batch
-// SoA kernel when the policy has a batch spec, the reference engine (with the
-// policy's fast-path opt-in) otherwise, and analytic offline scoring for the
-// DP oracle — then emits:
+// SoA kernel when its constructor accepts the policy, the reference engine
+// (with the policy's fast-path opt-in) otherwise, and analytic offline scoring
+// for the DP oracle — then emits:
 //   * <out>/<json>: the full grid with per-cell metrics, an FNV-1a
 //     determinism hash per cell, a combined grid hash, and the Pareto front
 //     per (scenario, corner) group over (cycles up, deadline hit-rate up,
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -200,18 +201,23 @@ int main(int argc, char** argv) {
       const FleetScenario base = FleetScenario::from_file(path);
       for (const std::string& corner : corners) {
         for (const std::string& policy_name : policies) {
-          const EnergyPolicy& policy = registry.at(policy_name);
           FleetScenario sc = base;
           if (override_nodes > 0) sc.nodes = override_nodes;
           apply_corner(sc, corner);
           sc.policy = policy_name;
 
-          const bool batch = policy.batch_spec().has_value();
+          // The batch kernel's constructor decides the route: it refuses
+          // (ModelError) every policy its flattened lane cannot run.
           const auto t0 = std::chrono::steady_clock::now();
+          std::optional<BatchFleetKernel> kernel;
+          try {
+            kernel.emplace(sc);
+          } catch (const ModelError&) {
+          }
+          const bool batch = kernel.has_value();
           FleetReport report;
           if (batch) {
-            const BatchFleetKernel kernel(sc);
-            report = kernel.run({.parallel = !serial});
+            report = kernel->run({.parallel = !serial});
           } else {
             const FleetSimulator sim(sc);
             FleetOptions opts;
