@@ -5,6 +5,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
+#include "core/controller_inputs.hpp"
 
 namespace hemp {
 
@@ -19,25 +20,27 @@ void EnergyManagerParams::validate() const {
 }
 
 EnergyManager::EnergyManager(const SystemModel& model,
-                             const EnergyManagerParams& params)
-    : model_(&model), params_(params), tracker_(model, params.tracker),
-      scheduler_(model), mep_(model) {
+                             const EnergyManagerParams& params,
+                             const ControllerInputs* inputs)
+    : model_(&model), params_(params), tracker_(model, params.tracker, inputs),
+      scheduler_(model), mep_(model, inputs) {
   params_.validate();
   // Precompute the low-light crossover (Fig. 7a): the incoming power below
   // which bypassing the regulator delivers more to the core.  A zero
   // crossover power disables the bypass rule entirely (refresh_light_estimate
   // guards on it), so policies that forbid bypassing skip the solve.
+  // Without a crossover the regulator (or bypass) dominates everywhere and
+  // the power stays zero.
   if (params_.low_light_bypass_enabled) {
-    RegulatorSelector selector(model);
-    if (const auto g_cross = selector.crossover_irradiance()) {
+    if (inputs != nullptr) {
+      crossover_power_ = inputs->crossover_power;
+    } else if (const auto g_cross =
+                   RegulatorSelector(model).crossover_irradiance()) {
       crossover_power_ = model.mpp(*g_cross).power;
-    } else {
-      crossover_power_ = Watts(0.0);  // regulator (or bypass) dominates everywhere
     }
-  } else {
-    crossover_power_ = Watts(0.0);
   }
-  full_sun_mpp_power_ = model.mpp(1.0).power;
+  full_sun_mpp_power_ =
+      inputs != nullptr ? inputs->full_sun_mpp.power : model.mpp(1.0).power;
   queue_.resize(16);
 }
 
@@ -173,9 +176,14 @@ void EnergyManager::start_next_job(const SocState& state, SocCommand& cmd) {
       return;
     }
   }
-  // hemp-analyzer: allow(hot-path-purity) — per-job sprint planning, once per submitted job
-  const SprintPlan plan =
-      scheduler_.plan(job.cycles, budget, params_.sprint_factor);
+  if (!plan_memo_ || plan_memo_->cycles != job.cycles ||
+      plan_memo_->budget != budget) {
+    plan_memo_ = PlanMemo{
+        job.cycles, budget,
+        // hemp-analyzer: allow(hot-path-purity) — once per distinct (cycles, budget)
+        scheduler_.plan(job.cycles, budget, params_.sprint_factor)};
+  }
+  const SprintPlan& plan = plan_memo_->plan;
   if (!plan.feasible) {
     ++jobs_missed_;
     return;
@@ -242,8 +250,11 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
   }
 
   if (s.bypassed) {
-    if (state.v_dd >= model_->processor().min_voltage()) {
-      cmd.frequency = model_->processor().max_frequency(state.v_dd);
+    // The shared node can overshoot Vmax under strong sun, where the speed
+    // model is undefined: clamp (the engines halt the clock above Vmax).
+    const Processor& proc = model_->processor();
+    if (state.v_dd >= proc.min_voltage()) {
+      cmd.frequency = proc.max_frequency(std::min(state.v_dd, proc.max_voltage()));
     }
     return;
   }
@@ -275,13 +286,19 @@ void EnergyManager::tick_recovering(const SocState& state, SocCommand& cmd) {
 
 void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
   hint.event_driven = true;
+  // A timer that has already fired is not a deadline: the engine treats a
+  // deadline at or before t as due and would step one tick at a time.
+  const double t = state.time.value();
+  const auto future = [&hint, t](double when) {
+    if (when > t) hint.deadline(when);
+  };
   switch (state_) {
     case State::kTracking:
       if (!queue_empty()) {
-        hint.deadline(state.time.value());  // job pending: decide immediately
+        hint.deadline(t);  // job pending: decide immediately
         return;
       }
-      hint.deadline(next_reassess_.value());
+      future(next_reassess_.value());
       if (!low_light_bypass_ && params_.mode == ManagerMode::kMaxPerformance) {
         tracker_.step_hint(state, hint);
       }
@@ -290,10 +307,11 @@ void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
       break;
     case State::kSprinting: {
       const ActiveSprint& s = *sprint_;
-      hint.deadline((s.started + s.plan.deadline * kSprintOverrunFactor).value());
+      const double started = s.started.value();
+      future(started + s.plan.deadline.value() * kSprintOverrunFactor);
       if (!s.bypassed) {
-        hint.deadline((s.started + s.plan.phase_time).value());
-        hint.deadline(s.started.value() + kSprintSagArmDelay.value());
+        future(started + s.plan.phase_time.value());
+        future(started + kSprintSagArmDelay.value());
         const Seconds elapsed = state.time - s.started;
         const OperatingPoint& op =
             elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
@@ -302,15 +320,13 @@ void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
       if (state.frequency.value() > 0.0) {
         const double remaining =
             s.plan.cycles - (state.cycles_retired - s.start_cycles);
-        if (remaining > 0.0) {
-          hint.deadline(state.time.value() + remaining / state.frequency.value());
-        }
+        if (remaining > 0.0) future(t + remaining / state.frequency.value());
       }
       break;
     }
     case State::kRecovering:
       hint.watch_solar(params_.recover_voltage.value());
-      if (!queue_empty()) hint.deadline(state.time.value());
+      if (!queue_empty()) hint.deadline(t);
       break;
   }
 }

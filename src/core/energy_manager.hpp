@@ -25,6 +25,8 @@
 
 namespace hemp {
 
+struct ControllerInputs;  // core/controller_inputs.hpp
+
 enum class ManagerMode {
   kMaxPerformance,  ///< track MPP, run as fast as the harvest allows
   kMinEnergy,       ///< hold the holistic MEP (background/maintenance work)
@@ -73,7 +75,12 @@ struct JobRequest {
 
 class EnergyManager : public SocController {
  public:
-  EnergyManager(const SystemModel& model, const EnergyManagerParams& params);
+  /// `inputs` (optional; non-owning, must outlive the manager) supplies the
+  /// model-derived quantities precomputed: the tracker's LUT and full-sun
+  /// MPP, the crossover power and the MEP solve's MPP lookups.  Without it
+  /// the manager solves them on `model`.
+  EnergyManager(const SystemModel& model, const EnergyManagerParams& params,
+                const ControllerInputs* inputs = nullptr);
 
   /// Queue a deadline job; it starts at the next tick after the current
   /// activity finishes (or immediately when tracking).  The deadline clock
@@ -88,6 +95,8 @@ class EnergyManager : public SocController {
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
+  /// Emits only deadlines strictly after state.time; a pending job asks for
+  /// an immediate decision (a deadline at state.time).
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] int jobs_completed() const { return jobs_completed_; }
@@ -103,6 +112,13 @@ class EnergyManager : public SocController {
     Seconds started{0.0};
     double start_cycles = 0.0;
     bool bypassed = false;
+  };
+
+  /// The last sprint plan and the exact inputs it was planned for.
+  struct PlanMemo {
+    double cycles = 0.0;
+    Seconds budget{0.0};
+    SprintPlan plan;
   };
 
   void enter_tracking(SocCommand& cmd);
@@ -142,13 +158,15 @@ class EnergyManager : public SocController {
   /// Last tick time — the deadline clock for submit() without an explicit now.
   Seconds now_{0.0};
   std::optional<ActiveSprint> sprint_;
+  /// Same (cycles, budget) -> same plan: a periodic FIFO workload plans once.
+  std::optional<PlanMemo> plan_memo_;
   int jobs_completed_ = 0;
   int jobs_missed_ = 0;
 
   bool low_light_bypass_ = false;
   Watts crossover_power_{0.0};
-  /// model().mpp(1.0).power solved once at construction — kMinEnergy mode
-  /// normalizes the light estimate against it every tick.
+  /// model().mpp(1.0).power, solved (or supplied) once at construction —
+  /// kMinEnergy mode normalizes the light estimate against it every tick.
   Watts full_sun_mpp_power_{0.0};
   /// Holistic MEP solutions memoized per quantized irradiance bucket — the
   /// MEP solve is a grid optimization and must not run every tick.

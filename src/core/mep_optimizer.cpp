@@ -5,17 +5,21 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
+#include "core/controller_inputs.hpp"
 #include "core/model_surfaces.hpp"
 
 namespace hemp {
 
-MepOptimizer::MepOptimizer(const SystemModel& model) : model_(&model) {}
+MepOptimizer::MepOptimizer(const SystemModel& model,
+                           const ControllerInputs* inputs)
+    : model_(&model), inputs_(inputs) {}
 
 MepOptimizer::MepOptimizer(const ModelSurfaces& surfaces)
     : model_(&surfaces.model()), surfaces_(&surfaces) {}
 
 MaxPowerPoint MepOptimizer::mpp(double g) const {
-  return surfaces_ ? surfaces_->mpp(g) : model_->mpp(g);
+  if (surfaces_ != nullptr) return surfaces_->mpp(g);
+  return inputs_ != nullptr ? inputs_->mpp(g) : model_->mpp(g);
 }
 
 Hertz MepOptimizer::max_frequency(Volts vdd) const {
@@ -28,8 +32,12 @@ Joules MepOptimizer::rail_energy_per_cycle(Volts vdd) const {
 }
 
 Joules MepOptimizer::source_energy_per_cycle(Volts vdd, double g) const {
+  return source_energy_per_cycle(vdd, mpp(g));
+}
+
+Joules MepOptimizer::source_energy_per_cycle(Volts vdd,
+                                             const MaxPowerPoint& point) const {
   const Processor& proc = model_->processor();
-  const MaxPowerPoint point = mpp(g);
   const Regulator& reg = model_->regulator();
   const Joules rail = proc.energy_per_cycle(vdd);
   if (!reg.supports(point.voltage, vdd)) {
@@ -57,8 +65,9 @@ MepPoint MepOptimizer::conventional() const {
 
 MepPoint MepOptimizer::holistic(double g) const {
   const Processor& proc = model_->processor();
+  const MaxPowerPoint point = mpp(g);  // fixed over the whole search
   auto objective = [&](double v) {
-    return source_energy_per_cycle(Volts(v), g).value();
+    return source_energy_per_cycle(Volts(v), point).value();
   };
   const auto r = numeric::grid_refine_minimize(
       objective, proc.min_voltage().value(), proc.max_voltage().value(),

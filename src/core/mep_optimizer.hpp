@@ -20,10 +20,14 @@ struct MepPoint {
 };
 
 class ModelSurfaces;
+struct ControllerInputs;  // core/controller_inputs.hpp
 
 class MepOptimizer {
  public:
-  explicit MepOptimizer(const SystemModel& model);
+  /// MPP lookups come from `inputs->mpp` when given (non-owning; must outlive
+  /// the optimizer), else from the exact `model.mpp`.
+  explicit MepOptimizer(const SystemModel& model,
+                        const ControllerInputs* inputs = nullptr);
 
   /// Solve with memoized surfaces: MPP and max-frequency lookups come from
   /// the interpolated grids (accuracy per SurfaceConfig::tolerance).  The
@@ -58,10 +62,13 @@ class MepOptimizer {
 
  private:
   [[nodiscard]] MaxPowerPoint mpp(double g) const;
+  [[nodiscard]] Joules source_energy_per_cycle(Volts vdd,
+                                               const MaxPowerPoint& point) const;
   [[nodiscard]] Hertz max_frequency(Volts vdd) const;
 
   const SystemModel* model_;
   const ModelSurfaces* surfaces_ = nullptr;
+  const ControllerInputs* inputs_ = nullptr;
 };
 
 }  // namespace hemp

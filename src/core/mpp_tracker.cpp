@@ -6,6 +6,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
+#include "core/controller_inputs.hpp"
 
 namespace hemp {
 
@@ -20,6 +21,14 @@ Watts estimate_input_power(Watts p_draw, Farads c, Volts v1, Volts v2, Seconds t
 
 MppLut::MppLut(const PvCell& cell, Volts measure_voltage, double g_min, double g_max,
                int samples)
+    : MppLut(
+          measure_voltage,
+          [&](double g) { return cell.power(measure_voltage, g); },
+          [&](double g) { return find_mpp(cell, g); }, g_min, g_max, samples) {}
+
+MppLut::MppLut(Volts measure_voltage, const std::function<Watts(double)>& measured,
+               const std::function<MaxPowerPoint(double)>& mpp, double g_min,
+               double g_max, int samples)
     : measure_voltage_(measure_voltage) {
   HEMP_REQUIRE(samples >= 4, "MppLut: need >= 4 samples");
   HEMP_REQUIRE(0.0 < g_min && g_min < g_max, "MppLut: bad irradiance range");
@@ -27,9 +36,9 @@ MppLut::MppLut(const PvCell& cell, Volts measure_voltage, double g_min, double g
   double last_p = -1.0;
   for (int i = 0; i < samples; ++i) {
     const double g = g_min + (g_max - g_min) * i / (samples - 1);
-    const double p_meas = cell.power(measure_voltage_, g).value();
+    const double p_meas = measured(g).value();
     if (p_meas <= last_p) continue;  // keep the power axis strictly increasing
-    const MaxPowerPoint point = find_mpp(cell, g);
+    const MaxPowerPoint point = mpp(g);
     p.push_back(p_meas);
     vmpp.push_back(point.voltage.value());
     gs.push_back(g);
@@ -78,13 +87,19 @@ DvfsLadder make_ladder(const Processor& proc, Volts ceiling, int steps) {
 }  // namespace
 
 MppTrackingController::MppTrackingController(const SystemModel& model,
-                                             const MppTrackerParams& params)
+                                             const MppTrackerParams& params,
+                                             const ControllerInputs* inputs)
     : model_(&model), params_(params),
-      lut_(model.cell(), Volts(0.5 * (params.v_high.value() + params.v_low.value()))),
+      lut_(inputs != nullptr
+               ? inputs->lut
+               : MppLut(model.cell(), params.lut_measure_voltage())),
       ladder_(make_ladder(model.processor(), params.vdd_ceiling, params.dvfs_steps)),
       timer_(params.v_high, params.v_low) {
   params_.validate();
-  v_mpp_full_sun_ = model.mpp(1.0).voltage;
+  HEMP_REQUIRE(lut_.measure_voltage() == params.lut_measure_voltage(),
+               "MppTracker: supplied LUT measures off the timer window's midpoint");
+  v_mpp_full_sun_ =
+      inputs != nullptr ? inputs->full_sun_mpp.voltage : model.mpp(1.0).voltage;
 }
 
 void MppTrackingController::on_start(const SocState& state, SocCommand& cmd) {

@@ -12,6 +12,7 @@
 // voltage, and DVFS retargets the load to hold the node there.
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "common/interpolation.hpp"
@@ -22,6 +23,8 @@
 #include "storage/comparator.hpp"
 
 namespace hemp {
+
+struct ControllerInputs;  // core/controller_inputs.hpp
 
 /// Eq. 7: input power from a measured V1 -> V2 fall time under load `p_draw`.
 Watts estimate_input_power(Watts p_draw, Farads c, Volts v1, Volts v2, Seconds t);
@@ -40,6 +43,15 @@ class MppLut {
   /// midpoint of the comparator window, where Eq. 7's estimate applies).
   MppLut(const PvCell& cell, Volts measure_voltage, double g_min = kMppLutGMin,
          double g_max = kMppLutGMax, int samples = kMppLutSamples);
+
+  /// The same sampling over supplied evaluators: `measured(g)` is the cell's
+  /// output at the measure voltage and `mpp(g)` its MPP.  The PvCell
+  /// constructor is this one over the exact cell; a fleet engine passes its
+  /// precomputed surfaces.  `mpp` is only called for kept samples.
+  MppLut(Volts measure_voltage, const std::function<Watts(double)>& measured,
+         const std::function<MaxPowerPoint(double)>& mpp,
+         double g_min = kMppLutGMin, double g_max = kMppLutGMax,
+         int samples = kMppLutSamples);
 
   /// MPP voltage for an estimated input power (clamped to the table range).
   [[nodiscard]] Volts mpp_voltage_for(Watts p_in) const;
@@ -77,6 +89,11 @@ struct MppTrackerParams {
   /// Highest Vdd the ladder uses (stays inside the regulator envelope).
   Volts vdd_ceiling{0.8};
 
+  /// Where the MppLut measures the cell: the timer window's midpoint.
+  [[nodiscard]] Volts lut_measure_voltage() const {
+    return Volts(0.5 * (v_high.value() + v_low.value()));
+  }
+
   void validate() const;
 };
 
@@ -89,7 +106,10 @@ struct MppTrackerParams {
 /// target and the ladder is re-seeded near the sustainable level.
 class MppTrackingController : public SocController {
  public:
-  MppTrackingController(const SystemModel& model, const MppTrackerParams& params);
+  /// `inputs` (optional) supplies the LUT and the full-sun MPP instead of
+  /// solving them on `model`.
+  MppTrackingController(const SystemModel& model, const MppTrackerParams& params,
+                        const ControllerInputs* inputs = nullptr);
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;

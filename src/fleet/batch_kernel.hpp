@@ -31,6 +31,7 @@
 
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
+#include "core/controller_inputs.hpp"
 #include "fleet/report.hpp"
 #include "fleet/scenario.hpp"
 
@@ -89,6 +90,11 @@ class BatchFleetKernel {
       int index, std::vector<BatchComparatorEvent>& events) const;
 
   [[nodiscard]] const FleetScenario& scenario() const;
+
+  /// The model-derived inputs node `index`'s controller is built with, read
+  /// off the shared surfaces and the crossover table (no exact solve).  The
+  /// MPP lookup reads this kernel's surfaces: valid while the kernel lives.
+  [[nodiscard]] ControllerInputs controller_inputs(int index) const;
 
   /// Opaque precomputed state (defined in batch_kernel.cpp; public only so
   /// the translation-unit-local node runner can name the type).

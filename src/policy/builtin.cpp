@@ -56,7 +56,7 @@ class ManagedPolicy final : public EnergyPolicy {
       const PolicyContext& ctx) const override {
     HEMP_REQUIRE(ctx.model != nullptr, "ManagedPolicy: null model");
     return std::make_unique<ManagedPolicyController>(*ctx.model, params_,
-                                                     ctx.workload);
+                                                     ctx.workload, ctx.inputs);
   }
 
  private:
@@ -80,7 +80,7 @@ class GreedyMppPolicy final : public EnergyPolicy {
     MppTrackerParams params;
     params.solar_capacitance = ctx.solar_capacitance;
     return std::make_unique<GreedyMppController>(*ctx.model, params,
-                                                 ctx.workload);
+                                                 ctx.workload, ctx.inputs);
   }
 };
 

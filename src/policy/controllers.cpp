@@ -62,8 +62,9 @@ void JobTracker::hint(SocStepHint& hint) const {
 
 ManagedPolicyController::ManagedPolicyController(const SystemModel& model,
                                                  const EnergyManagerParams& params,
-                                                 const PolicyWorkload& workload)
-    : manager_(model, params),
+                                                 const PolicyWorkload& workload,
+                                                 const ControllerInputs* inputs)
+    : manager_(model, params, inputs),
       jobs_(manager_, workload.job_cycles, workload.period, workload.deadline,
             workload.phase) {}
 
@@ -95,8 +96,9 @@ PolicyJobStats ManagedPolicyController::job_stats() const {
 
 GreedyMppController::GreedyMppController(const SystemModel& model,
                                          const MppTrackerParams& params,
-                                         const PolicyWorkload& workload)
-    : tracker_(model, params), jobs_(workload) {}
+                                         const PolicyWorkload& workload,
+                                         const ControllerInputs* inputs)
+    : tracker_(model, params, inputs), jobs_(workload) {}
 
 void GreedyMppController::on_start(const SocState& state, SocCommand& cmd) {
   tracker_.on_start(state, cmd);

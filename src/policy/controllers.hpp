@@ -69,7 +69,8 @@ class ManagedPolicyController final : public PolicyController {
  public:
   ManagedPolicyController(const SystemModel& model,
                           const EnergyManagerParams& params,
-                          const PolicyWorkload& workload);
+                          const PolicyWorkload& workload,
+                          const ControllerInputs* inputs = nullptr);
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
@@ -89,7 +90,8 @@ class ManagedPolicyController final : public PolicyController {
 class GreedyMppController final : public PolicyController {
  public:
   GreedyMppController(const SystemModel& model, const MppTrackerParams& params,
-                      const PolicyWorkload& workload);
+                      const PolicyWorkload& workload,
+                      const ControllerInputs* inputs = nullptr);
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;

@@ -8,15 +8,18 @@
 // of simulating it.  A name-keyed registry (policy/registry.hpp) lets
 // scenarios, CLIs, and the tournament harness select policies by string.
 //
-// Three execution tiers, fastest first:
-//   * manager_params()  — EnergyManager-backed policies expose their
-//     parameters; the SoA batch fleet kernel runs the ones its flattened
-//     manager lane implements (FIFO queue) and refuses the rest;
-//   * make_controller() — every policy builds a SocController; controllers
-//     that implement SocController::step_hint run on the single-node
-//     surface-only fast path (policies opt in via fast_path());
-//   * offline()         — policies that need the whole irradiance trace ahead
-//     of time (the DP oracle) return an analytic per-node score.
+// One controller implementation serves every engine: make_controller()
+// builds the SocController that the dense reference loop, the single-node
+// fast path and the SoA batch fleet kernel all drive.  What differs is where
+// a policy may run, fastest first:
+//   * the batch fleet kernel builds each node's controller here with
+//     PolicyContext::inputs filled from its shared surfaces, and runs the
+//     EnergyManager-backed FIFO policies (manager_params() non-null, FIFO
+//     queue); its constructor refuses the rest;
+//   * controllers that implement SocController::step_hint run on the
+//     single-node surface-only fast path (policies opt in via fast_path());
+//   * offline() — policies that need the whole irradiance trace ahead of
+//     time (the DP oracle) return an analytic per-node score instead.
 #pragma once
 
 #include <memory>
@@ -30,6 +33,7 @@
 
 namespace hemp {
 
+struct ControllerInputs;     // core/controller_inputs.hpp
 struct EnergyManagerParams;  // core/energy_manager.hpp
 
 /// Periodic deadline-job workload one node runs (mirrors the fleet scenario's
@@ -54,6 +58,10 @@ struct PolicyContext {
   /// The node's sky, known ahead of time.  Required by offline policies;
   /// online policies must ignore it (they only observe the SocState).
   const IrradianceTrace* trace = nullptr;
+  /// Model-derived controller inputs, precomputed by the engine (the batch
+  /// kernel fills them from its shared surfaces).  Null: controllers solve
+  /// them on `model`.  Non-owning; must outlive the built controller.
+  const ControllerInputs* inputs = nullptr;
 };
 
 /// Job accounting every policy controller reports after a run.
@@ -103,7 +111,8 @@ class EnergyPolicy {
 
   /// The EnergyManager parameters an EnergyManager-backed policy is built
   /// from; null for every other policy.  The batch fleet kernel runs a
-  /// forced policy only when this is non-null (and the queue is FIFO).
+  /// forced policy only when this is non-null (and the queue is FIFO), and
+  /// samples its controllers' MPP table at this tracker's window.
   [[nodiscard]] virtual const EnergyManagerParams* manager_params() const {
     return nullptr;
   }

@@ -30,6 +30,7 @@ SpeedModel::SpeedModel(const SpeedModelParams& params) : params_(params) {
   const double v = params_.reference_voltage.value();
   const double vth = params_.threshold.value();
   gain_ = params_.reference_frequency.value() * v / std::pow(v - vth, params_.alpha);
+  f_onset_ = Hertz(alpha_law(subthreshold_onset().value()));
 }
 
 double SpeedModel::alpha_law(double v) const {
@@ -56,9 +57,8 @@ Hertz SpeedModel::max_frequency(Volts v) const {
                    "SpeedModel: supply outside operating envelope");
   const Volts onset = subthreshold_onset();
   if (v >= onset) return Hertz(alpha_law(v.value()));
-  const double f_onset = alpha_law(onset.value());
   const double decades = (v - onset).value() / params_.subthreshold_slope.value();
-  return Hertz(f_onset * std::exp(decades));
+  return Hertz(f_onset_.value() * std::exp(decades));
 }
 
 Volts SpeedModel::voltage_for_frequency(Hertz f) const {

@@ -57,6 +57,7 @@ class SpeedModel {
 
   SpeedModelParams params_;
   double gain_ = 0.0;  // k in the alpha-power law, from the calibration point
+  Hertz f_onset_{0.0};  ///< alpha_law at the subthreshold onset
 };
 
 }  // namespace hemp

@@ -55,37 +55,19 @@ struct FastEngine {
 
   HEMP_HOT SimResult loop() {
     flat::StepPlan pl;
+    SocStepHint hint;
     while (!st.done()) {
       const double t = st.t;
-      const double g0 = st.irradiance();
-
-      // --- Controller evaluation at the step boundary. ---------------------
-      state.time = Seconds(t);
-      state.irradiance = g0;
-      state.v_solar = Volts(st.v_s);
-      state.v_dd = Volts(st.v_d);
-      state.p_harvest = Watts(st.v_s * st.iv.cell_i(st.v_s, g0));
-      state.path = cmd.path;
-      controller->on_tick(state, cmd);
-      st.gate(cmd);
-
-      // --- Step length from the controller's own bounds plus the waveform
+      const double g0 = st.control(*controller, state, cmd, hint);
+      // Step length from the controller's own bounds plus the waveform
       // cadence: a record fires this iteration when next_sample is already
       // due, so the step must not overshoot the sample after it.
-      SocStepHint hint;
-      controller->step_hint(state, hint);
       hint.deadline(next_sample > t ? next_sample : t + interval);
       st.prologue(cmd, hint, g0, pl);
       st.epilogue(cmd, pl, st.solve(pl));
+      st.observe(state);
 
-      // --- Post-step state, comparator edges, decimated waveform. ----------
-      state.v_solar = Volts(st.v_s);
-      state.v_dd = Volts(st.v_d);
-      state.p_processor = Watts(st.p_load);
-      state.frequency = Hertz(st.f_eff);
-      state.processor_running = st.can_run;
-      state.regulator_ok = st.reg_ok;
-      state.cycles_retired = st.cycles;
+      // --- Comparator edges, decimated waveform. ---------------------------
       comparators->update_into(Volts(st.v_s), Seconds(st.t), *events);
       for (const ComparatorEvent& ev : *events) {
         controller->on_comparator(ev, state, cmd);
@@ -184,11 +166,7 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
   st.v_s = config_.solar_start_voltage.value();
   st.v_d = config_.vdd_start_voltage.value();
 
-  e.cmd.vdd_target = config_.vdd_start_voltage;
-  e.state.v_solar = Volts(st.v_s);
-  e.state.v_dd = Volts(st.v_d);
-  e.state.irradiance = trace_in.at(Seconds(0.0));
-  controller.on_start(e.state, e.cmd);
+  st.start(controller, e.state, e.cmd);
   return e.loop();
 }
 

@@ -1,17 +1,20 @@
 // One surface-only node stepper shared by both event-driven engines: the
 // fleet batch kernel (fleet/batch_kernel.cpp) and the single-node fast path
-// (sim/fast_soc.cpp).  The engines own only their controllers; everything
-// from the load gate to the time advance lives here, once.
+// (sim/fast_soc.cpp).  Both drive a real SocController (the batch kernel
+// builds its nodes' controllers through the policy registry); everything from
+// the controller call to the time advance lives here, once.
 //
 // Step protocol (the engine drives it, one call each per step):
 //
-//   g0 = st.irradiance();          trace level at the step start
-//   <controller evaluation>        the engine updates its SocCommand
-//   st.gate(cmd);                  vmin latch, f_max clamp, timing faults
-//   <fill a SocStepHint>           deadlines + solar / rail watch levels
+//   st.start(ctl, state, cmd);     once: on_start at t = 0
+//   g0 = st.control(ctl, state, cmd, hint)
+//                                  SocState refresh, on_tick, the load gate
+//                                  (vmin latch, f_max clamp, timing faults)
+//                                  and the controller's step hint
 //   st.prologue(cmd, hint, g0, pl) step length + integration pre-pass
 //   p_avg = st.solve(pl);          solar-node Newton solve (or a lane call)
 //   st.epilogue(cmd, pl, p_avg);   rail update, totals, time advance
+//   st.observe(state);             post-step state the controller sees next
 //
 // The prologue/epilogue split exists so the batch kernel's lane driver can
 // gather the solar solves of several nodes into one
@@ -54,10 +57,10 @@
 //
 // Exactly two behaviours differ between the engines, and each engine sets
 // them in code: the fast path replays the reference RC tick through bypass
-// entry (replay_bypass_entry, see kBypassMergeBand), and its controllers may
-// decline long steps (SocStepHint::event_driven == false), which falls back
-// to dense reference ticks.  The batch kernel fills hints with
-// event_driven set.
+// entry (replay_bypass_entry, see kBypassMergeBand), and it adds its waveform
+// cadence to the hint as one more deadline.  A controller that declines long
+// steps (SocStepHint::event_driven == false) steps dense reference ticks on
+// either engine.
 #pragma once
 
 #include <algorithm>
@@ -161,6 +164,52 @@ struct NodeStepper {
 
   /// Irradiance at the present time (the controller's view of the sky).
   [[nodiscard]] double irradiance() { return trace->at(t, cur); }
+
+  // ---------------------------------------------------------------------
+  // Controller half of a step.
+  // ---------------------------------------------------------------------
+
+  /// Hand the node to the controller at the run start.  The command latch
+  /// starts at the rail's start voltage.
+  void start(SocController& ctl, SocState& state, SocCommand& cmd) {
+    cmd.vdd_target = Volts(v_d);
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.irradiance = irradiance();
+    ctl.on_start(state, cmd);
+  }
+
+  /// Step start: refresh the controller's view of the node, run on_tick,
+  /// gate the load, and collect the controller's step hint into `hint`
+  /// (reset first).  Returns irradiance() at the step start (the prologue's
+  /// g0).
+  HEMP_HOT double control(SocController& ctl, SocState& state, SocCommand& cmd,
+                          SocStepHint& hint) {
+    const double g0 = irradiance();
+    state.time = Seconds(t);
+    state.irradiance = g0;
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.p_harvest = Watts(v_s * iv.cell_i(v_s, g0));
+    state.path = cmd.path;
+    ctl.on_tick(state, cmd);
+    gate(cmd);
+    hint.reset();
+    ctl.step_hint(state, hint);
+    return g0;
+  }
+
+  /// Step end: what the step did, as the controller sees it at the next
+  /// control() (its node voltages, load, clock and retired cycles).
+  void observe(SocState& state) const {
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.p_processor = Watts(p_load);
+    state.frequency = Hertz(f_eff);
+    state.processor_running = can_run;
+    state.regulator_ok = reg_ok;
+    state.cycles_retired = cycles;
+  }
 
   /// Load for this step, with the reference tick semantics: the rail voltage
   /// gates the clock (vmin latch with re-enable hysteresis in bypass), and

@@ -93,11 +93,17 @@ struct SocCommand {
   bool run = true;  ///< clock enable
 };
 
-/// Controller advice for the event-driven fast path.  After each control
+/// Controller advice for the event-driven engines.  After each control
 /// evaluation the engine asks the controller how far it may step: the step is
 /// bounded by the earliest absolute deadline and by analytic no-late-detection
 /// bounds on every watched node level, so no controller-visible event (timer
 /// expiry, comparator edge, tracker window crossing) is observed late.
+///
+/// Deadlines are absolute times.  A controller emits only deadlines strictly
+/// after state.time: the engine treats a deadline at or before state.time as
+/// due and steps a single reference tick, so a timer left behind would pin
+/// every step to one tick.  Asking for a decision at once (a pending job) is
+/// the one use of a deadline at state.time.
 struct SocStepHint {
   /// Controller supports long steps from this state.  Left false (default),
   /// the engine falls back to dense ticks for this run.
@@ -108,6 +114,14 @@ struct SocStepHint {
   std::array<double, 4> rail_watch{};
   std::size_t rail_watch_count = 0;
 
+  /// Back to the default (no deadline, no watches, long steps refused); the
+  /// watch arrays keep stale entries past their counts.
+  void reset() {
+    event_driven = false;
+    next_deadline_s = std::numeric_limits<double>::infinity();
+    solar_watch_count = 0;
+    rail_watch_count = 0;
+  }
   void deadline(double t_s) {
     if (t_s < next_deadline_s) next_deadline_s = t_s;
   }

@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/solver_stats.hpp"
+#include "core/controller_inputs.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/soc_system.hpp"
 
@@ -181,6 +183,122 @@ TEST(EnergyManager, SubmitValidation) {
   EnergyManager mgr(f.model, {});
   EXPECT_THROW(mgr.submit({0.0, 1.0_ms}), ModelError);
   EXPECT_THROW(mgr.submit({1e6, Seconds(0.0)}), ModelError);
+}
+
+// --- Step hints and the sprint's bypassed clock -----------------------------
+
+/// Passes an EnergyManager through and checks every hint it gives while
+/// sprinting.
+class SprintHintProbe : public SocController {
+ public:
+  explicit SprintHintProbe(EnergyManager& mgr) : mgr_(&mgr) {}
+  void on_start(const SocState& state, SocCommand& cmd) override {
+    mgr_->on_start(state, cmd);
+  }
+  void on_tick(const SocState& state, SocCommand& cmd) override {
+    mgr_->on_tick(state, cmd);
+  }
+  void step_hint(const SocState& state, SocStepHint& hint) const override {
+    mgr_->step_hint(state, hint);
+    if (!mgr_->sprinting()) return;
+    ++sprint_hints;
+    EXPECT_GT(hint.next_deadline_s, state.time.value())
+        << "sprint hint carries a deadline that is already due at t="
+        << state.time.value();
+  }
+  mutable int sprint_hints = 0;
+
+ private:
+  EnergyManager* mgr_;
+};
+
+TEST(EnergyManager, SprintHintNeverCarriesADueDeadline) {
+  // Long jobs: each sprint outlives its slow phase and the sag-arm delay,
+  // whose deadlines would be stale from then on.
+  Fixture f;
+  EnergyManager mgr(f.model, {});
+  for (int i = 0; i < 3; ++i) mgr.submit({4e6, 12.0_ms});
+  SprintHintProbe probe(mgr);
+  SocConfig cfg;
+  cfg.fast_path = true;
+  SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(),
+                Processor::make_test_chip());
+  soc.run(IrradianceTrace::constant(1.0), probe, 150.0_ms);
+  EXPECT_EQ(mgr.jobs_completed(), 3);
+  EXPECT_GT(probe.sprint_hints, 0);
+}
+
+TEST(EnergyManager, BypassedSprintAboveVmaxClampsTheClock) {
+  Fixture f;
+  EnergyManager mgr(f.model, {});
+  SocState state;
+  state.v_solar = 1.2_V;
+  state.v_dd = 0.5_V;
+  SocCommand cmd;
+  mgr.on_start(state, cmd);
+  mgr.submit({4e6, 12.0_ms});
+  state.time = 10.0_us;
+  mgr.on_tick(state, cmd);  // the queued job starts a sprint
+  ASSERT_TRUE(mgr.sprinting());
+  state.time = 20.0_us;
+  state.v_solar = 0.3_V;  // no regulator headroom: hand over to the bypass
+  mgr.on_tick(state, cmd);
+  ASSERT_EQ(cmd.path, PowerPath::kBypass);
+  // The shared node overshoots Vmax, where the speed model is undefined.
+  const Volts vmax = f.proc.max_voltage();
+  state.time = 30.0_us;
+  state.v_solar = vmax + 0.2_V;
+  state.v_dd = vmax + 0.1_V;
+  EXPECT_NO_THROW(mgr.on_tick(state, cmd));
+  EXPECT_TRUE(mgr.sprinting());
+  EXPECT_EQ(cmd.frequency.value(), f.proc.max_frequency(vmax).value());
+}
+
+// --- Precomputed controller inputs -------------------------------------------
+
+/// The inputs the manager would solve itself, computed exactly.
+ControllerInputs exact_inputs(const Fixture& f, const EnergyManagerParams& p) {
+  const SystemModel& model = f.model;
+  const auto g_cross = RegulatorSelector(model).crossover_irradiance();
+  return ControllerInputs{
+      MppLut(f.cell, p.tracker.lut_measure_voltage()),
+      model.mpp(1.0),
+      g_cross ? model.mpp(*g_cross).power : Watts(0.0),
+      [&model](double g) { return model.mpp(g); }};
+}
+
+TEST(EnergyManager, ExactInputsReproduceTheSolvingManager) {
+  for (const ManagerMode mode :
+       {ManagerMode::kMaxPerformance, ManagerMode::kMinEnergy}) {
+    Fixture f;
+    EnergyManagerParams params;
+    params.mode = mode;
+    const ControllerInputs inputs = exact_inputs(f, params);
+    EnergyManager solving(f.model, params);
+    EnergyManager supplied(f.model, params, &inputs);
+    solving.submit({2e6, 8.0_ms});
+    supplied.submit({2e6, 8.0_ms});
+    const auto trace = IrradianceTrace::step(1.0, 0.10, 60.0_ms);
+    SocSystem soc_a = f.make_soc();
+    SocSystem soc_b = f.make_soc();
+    const SimResult a = soc_a.run(trace, solving, 150.0_ms);
+    const SimResult b = soc_b.run(trace, supplied, 150.0_ms);
+    EXPECT_EQ(a.totals.cycles, b.totals.cycles);
+    EXPECT_EQ(a.totals.harvested.value(), b.totals.harvested.value());
+    EXPECT_EQ(solving.in_bypass(), supplied.in_bypass());
+    EXPECT_EQ(solving.jobs_completed(), supplied.jobs_completed());
+  }
+}
+
+TEST(EnergyManager, SuppliedInputsSkipEveryConstructorSolve) {
+  Fixture f;
+  const ControllerInputs inputs = exact_inputs(f, {});
+  const auto before = solver_stats::snapshot();
+  const EnergyManager mgr(f.model, {}, &inputs);
+  EXPECT_EQ(solver_stats::delta_since(before).total(), 0u);
+  const auto exact = solver_stats::snapshot();
+  const EnergyManager solving(f.model, {});
+  EXPECT_GT(solver_stats::delta_since(exact).total(), 0u);
 }
 
 TEST(EnergyManagerParams, Validation) {

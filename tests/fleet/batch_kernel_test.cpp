@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "common/solver_stats.hpp"
+#include "core/regulator_selector.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "processor/corners.hpp"
+#include "regulator/switched_cap.hpp"
 
 namespace hemp {
 namespace {
@@ -245,6 +248,65 @@ TEST(BatchFleetKernel, StepTraceNeverSkipsComparatorCrossing) {
     }
   }
   EXPECT_GT(total_events, 0);
+}
+
+TEST(BatchFleetKernel, CrossoverTableTracksTheExactSelector) {
+  // day1000's population (scenarios/day1000.scn); a constant sky skips the
+  // per-node trace build and leaves every node's sampled hardware unchanged.
+  const FleetScenario s = FleetScenario::from_string(
+      "name = day1000_crossover\n"
+      "nodes = 256\n"
+      "seed = 2018\n"
+      "day_length_s = 0.25\n"
+      "time_step_us = 5\n"
+      "trace = constant\n"
+      "pv_scale_min = 0.6\n"
+      "pv_scale_max = 1.4\n"
+      "solar_cap_min_uf = 22\n"
+      "solar_cap_max_uf = 100\n"
+      "corner_ss = 0.2\n"
+      "corner_tt = 0.6\n"
+      "corner_ff = 0.2\n"
+      "temperature_mean_c = 25\n"
+      "temperature_sigma_c = 8\n"
+      "min_energy_fraction = 0.25\n"
+      "job_cycles = 2e6\n"
+      "job_period_ms = 40\n"
+      "job_deadline_ms = 8\n");
+  const BatchFleetKernel kernel(s);
+  const FleetSimulator population(s);
+  const SwitchedCapRegulator reg;
+  int mismatched = 0;
+  int both = 0;
+  double err_sum = 0.0;
+  double err_max = 0.0;
+  for (int i = 0; i < s.nodes; ++i) {
+    const NodeSample n = population.sample_node(i);
+    PvCellParams pv;
+    pv.isc_full_sun = pv.isc_full_sun * n.pv_scale;
+    const PvCell cell(pv);
+    const Processor proc = make_test_chip_at(n.conditions);
+    const SystemModel model(cell, reg, proc);
+    const auto g_exact = RegulatorSelector(model).crossover_irradiance();
+    const double table = kernel.controller_inputs(i).crossover_power.value();
+    if (g_exact.has_value() != (table > 0.0)) {
+      ++mismatched;
+      continue;
+    }
+    if (!g_exact) continue;
+    const double exact = model.mpp(*g_exact).power.value();
+    const double err = std::fabs(table - exact) / exact;
+    ++both;
+    err_sum += err;
+    err_max = std::max(err_max, err);
+  }
+  // Existence flips only on nodes near a corner's crossover boundary (16 of
+  // 256; a table that blends "no crossover" in as 0 flips 40); where both
+  // have one, the power is off by 0.8% on average and 6.2% at worst.
+  EXPECT_LE(mismatched, 16);
+  ASSERT_GT(both, 0);
+  EXPECT_LT(err_sum / both, 0.008);
+  EXPECT_LT(err_max, 0.063);
 }
 
 TEST(BatchFleetKernel, TracedRunMatchesUntraced) {
