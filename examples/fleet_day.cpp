@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "fleet/fleet_sim.hpp"
+#include "fleet/population.hpp"
 #include "processor/corners.hpp"
 
 int main() {
@@ -32,7 +33,7 @@ int main() {
   std::printf("%6s %10s %10s %8s %8s %8s\n", "node", "pv_scale", "cap (uF)",
               "corner", "temp C", "policy");
   for (int i = 0; i < 6; ++i) {
-    const NodeSample s = sim.sample_node(i);
+    const NodeSample s = sample_node(scenario, i);
     std::printf("%6d %10.2f %10.1f %8s %8.1f %8s\n", i, s.pv_scale,
                 s.solar_capacitance.value() * 1e6,
                 to_string(s.conditions.corner).c_str(),

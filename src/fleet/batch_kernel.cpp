@@ -12,21 +12,19 @@
 #include "common/annotations.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/solver_stats.hpp"
 #include "core/controller_inputs.hpp"
 #include "core/energy_manager.hpp"
 #include "core/regulator_selector.hpp"
 #include "core/system_model.hpp"
+#include "fleet/population.hpp"
 #include "harvester/iv_curve.hpp"
 #include "harvester/pv_cell.hpp"
-#include "policy/registry.hpp"
 #include "processor/corners.hpp"
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/flat_model.hpp"
 #include "sim/flat_stepper.hpp"
 #include "sim/soc_system.hpp"
-#include "trace/generators.hpp"
 
 namespace hemp {
 
@@ -65,13 +63,6 @@ constexpr int kIvGKnots = 64;
 
 // Every fleet node shares the default switched-cap regulator.
 const flat::FlatSc kScFlat = flat::make_flat_sc(SwitchedCapParams{});
-
-/// A node's cell: only Isc scales with pv_scale (same Voc/Rs/Rsh).
-PvCellParams scaled_pv(double pv_scale) {
-  PvCellParams p;
-  p.isc_full_sun = p.isc_full_sun * pv_scale;
-  return p;
-}
 
 std::vector<double> linspace(double lo, double hi, int n) {
   std::vector<double> xs(static_cast<std::size_t>(n));
@@ -146,13 +137,7 @@ struct CrossoverTable {
 
 struct BatchFleetKernel::Shared {
   FleetScenario scenario;
-  bool shared_sky = false;
-  FlatTrace sky;  ///< valid when shared_sky
-
-  /// Node hardware defaults the fleet never overrides (start voltages,
-  /// regulation time constant, bypass switch, comparator bank); per-node
-  /// capacitances and the time step come from the scenario.
-  SocConfig soc{};
+  FlatTrace sky;  ///< valid when scenario.shared_sky()
 
   // SoA node-parameter plane (index-parallel arrays).
   std::vector<NodeSample> samples;
@@ -160,7 +145,7 @@ struct BatchFleetKernel::Shared {
   std::vector<flat::FlatProc> proc;
   std::vector<Processor> processors;
   std::vector<std::optional<double>> crossover_g;  ///< Fig. 7a irradiance
-  std::vector<FlatTrace> traces;  ///< empty when shared_sky
+  std::vector<FlatTrace> traces;  ///< empty when scenario.shared_sky()
 
   // Shared MPP + terminal-current surfaces over (pv_scale, irradiance),
   // built by the hemp::flat layer (exact solves, ctor only).
@@ -203,10 +188,8 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
   // --- Policies: the kernel drives each node's registry-built controller
   // and only steps EnergyManager-backed FIFO policies; everything else must
   // use the reference engine. ----------------------------------------------
-  const PolicyRegistry& registry = PolicyRegistry::global();
-  const EnergyPolicy* forced = nullptr;
-  if (!sc.policy.empty()) {
-    forced = &registry.at(sc.policy);
+  const EnergyPolicy* forced = forced_policy(sc);
+  if (forced != nullptr) {
     const EnergyManagerParams* params = forced->manager_params();
     if (params == nullptr ||
         params->queue_discipline != QueueDiscipline::kFifo) {
@@ -215,8 +198,6 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
                        "kernel (fleetsim --kernel reference)");
     }
   }
-  const EnergyPolicy& mpp_track = registry.at("mpp_track");
-  const EnergyPolicy& mep_hold = registry.at("mep_hold");
 
   // --- Shared MPP + terminal-current surfaces: exact solves sampled once
   // for the fleet by the hemp::flat builders. -------------------------------
@@ -230,7 +211,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
 
   // --- Low-light crossover tables: exact RegulatorSelector bisection per
   // corner over a coarse (temperature, pv_scale) grid that covers the
-  // sampled temperatures; looked up per node. --------------------------------
+  // sampled temperatures; looked up per node by its corner. -----------------
   double t_lo = std::clamp(
       sc.temperature_mean_c - kCrossTempSigmas * sc.temperature_sigma_c,
       -20.0, 85.0);
@@ -241,18 +222,16 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     t_lo = std::max(-20.0, t_hi - 1.0);
     t_hi = t_lo + 1.0;
   }
-  constexpr ProcessCorner kCorners[] = {ProcessCorner::kSlowSlow,
-                                        ProcessCorner::kTypical,
-                                        ProcessCorner::kFastFast};
-  std::array<CrossoverTable, 3> cross;
+  std::array<CrossoverTable, 3> cross;  // indexed by ProcessCorner
   for (std::size_t c = 0; c < cross.size(); ++c) {
     CrossoverTable& table = cross[c];
     table.temps = linspace(t_lo, t_hi, kCrossTempKnots);
     table.scales = linspace(s_lo, s_hi, kCrossSKnots);
     for (const double temp : table.temps) {
-      const Processor proc = make_test_chip_at({kCorners[c], temp});
+      const Processor proc =
+          make_test_chip_at({static_cast<ProcessCorner>(c), temp});
       for (const double s : table.scales) {
-        const PvCell cell(scaled_pv(s));
+        const PvCell cell(node_pv(s));
         const SystemModel model(cell, sh.reg, proc);
         table.g.push_back(RegulatorSelector(model).crossover_irradiance().value_or(
             std::numeric_limits<double>::quiet_NaN()));
@@ -260,52 +239,15 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     }
   }
 
-  // --- Node identity sampling: exactly FleetSimulator's draw order, so the
-  // per-node RNG stream continues into the same trace draws afterwards. -----
-  sh.shared_sky = sc.shared_trace || sc.trace_kind == TraceKind::kCsv ||
-                  sc.trace_kind == TraceKind::kConstant;
-  const auto make_trace = [&sc](Rng& rng) -> IrradianceTrace {
-    switch (sc.trace_kind) {
-      case TraceKind::kConstant:
-        return IrradianceTrace::constant(sc.constant_g);
-      case TraceKind::kDiurnal: {
-        DiurnalArcParams params;
-        params.day_length = sc.day_length;
-        return diurnal_arc(rng, params);
-      }
-      case TraceKind::kClouds: {
-        CloudFieldParams params;
-        params.day.day_length = sc.day_length;
-        const double stretch = sc.day_length.value() / 0.25;
-        params.mean_gap = Seconds(0.03 * stretch);
-        params.mean_duration = Seconds(0.01 * stretch);
-        return cloud_field(rng, params);
-      }
-      case TraceKind::kIndoor: {
-        IndoorDutyParams params;
-        params.duration = sc.day_length;
-        const double stretch = sc.day_length.value() / 0.25;
-        params.mean_on = Seconds(0.04 * stretch);
-        params.mean_off = Seconds(0.02 * stretch);
-        return indoor_duty(rng, params);
-      }
-      case TraceKind::kCsv:
-        return IrradianceTrace::from_csv(sc.trace_csv);
-    }
-    throw ModelError("BatchFleetKernel: unknown trace kind");
-  };
-
   // Adaptive knot coarsening: every flattened trace gives up knots until the
   // cumulative absorbed-irradiance perturbation hits the scenario's per-day
   // budget (see flat::FlatTrace::coarsen).  Each surviving knot is a step the
   // event-driven loop must take, so this directly buys throughput.
   const double coarsen_budget = sc.trace_coarsen_eps * sc.day_length.value();
-  if (sh.shared_sky) {
-    Rng sky_rng = Rng(sc.seed).fork(~0ULL);
-    const IrradianceTrace trace = make_trace(sky_rng);
+  if (sc.shared_sky()) {
     sh.sky = sc.trace_kind == TraceKind::kConstant
                  ? flatten_constant(sc.constant_g)
-                 : flatten_trace(trace, sc.day_length.value());
+                 : flatten_trace(make_shared_sky(sc), sc.day_length.value());
     if (coarsen_budget > 0.0) sh.sky.coarsen(coarsen_budget);
   }
 
@@ -315,44 +257,22 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
   sh.proc.resize(n);
   sh.processors.reserve(n);
   sh.crossover_g.resize(n);
-  if (!sh.shared_sky) sh.traces.resize(n);
+  if (!sc.shared_sky()) sh.traces.resize(n);
 
   for (std::size_t i = 0; i < n; ++i) {
-    Rng rng = Rng(sc.seed).fork(static_cast<std::uint64_t>(i));
-    NodeSample& s = sh.samples[i];
-    s.index = static_cast<int>(i);
-    s.pv_scale = rng.uniform(sc.pv_scale_min, sc.pv_scale_max);
-    s.solar_capacitance =
-        Farads(std::exp(rng.uniform(std::log(sc.solar_cap_min.value()),
-                                    std::log(sc.solar_cap_max.value()))));
-    const std::size_t corner_ix =
-        rng.weighted(sc.corner_weights.data(), sc.corner_weights.size());
-    s.conditions.corner = kCorners[corner_ix];
-    s.conditions.temperature_c =
-        std::clamp(rng.normal(sc.temperature_mean_c, sc.temperature_sigma_c),
-                   -20.0, 85.0);
-    s.min_energy = rng.uniform() < sc.min_energy_fraction;
-    // The Bernoulli draw above must always happen — the per-node stream
-    // continues into the phase/trace draws — but a forced policy overrides
-    // the sampled mode (the effective mode lands in the report's CSV).
-    if (forced != nullptr) {
-      s.min_energy =
-          forced->manager_params()->mode == ManagerMode::kMinEnergy;
-    }
-    sh.policies[i] =
-        forced != nullptr ? forced : s.min_energy ? &mep_hold : &mpp_track;
-    s.job_phase = sc.job_cycles > 0.0
-                      ? Seconds(rng.uniform(0.0, sc.job_period.value()))
-                      : Seconds(0.0);
-    if (!sh.shared_sky) {
-      sh.traces[i] = flatten_trace(make_trace(rng), sc.day_length.value());
+    Rng rng = node_rng(sc, static_cast<int>(i));
+    NodeSample& s = sh.samples[i] = sample_node(sc, static_cast<int>(i), rng);
+    sh.policies[i] = &node_policy(forced, s);
+    if (!sc.shared_sky()) {
+      sh.traces[i] = flatten_trace(make_trace(sc, rng), sc.day_length.value());
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
     }
 
     sh.processors.push_back(make_test_chip_at(s.conditions));
     sh.proc[i] = flat::make_flat_proc(sh.processors.back());
     sh.crossover_g[i] =
-        cross[corner_ix].at(s.conditions.temperature_c, s.pv_scale);
+        cross[static_cast<std::size_t>(s.conditions.corner)].at(
+            s.conditions.temperature_c, s.pv_scale);
   }
 
   shared_ = std::move(shared);
@@ -382,9 +302,10 @@ struct NodeRunner {
   const NodeSample& s;
   std::vector<BatchComparatorEvent>* events;  ///< traced mode, else null
 
-  // The node's exact model (the controller's view of its hardware), the
+  // The node's hardware, its exact model (the controller's view of it), the
   // surface-derived inputs that spare it every exact solve, and the
   // controller itself.
+  SocConfig cfg;
   PvCell cell;
   SystemModel model;
   ControllerInputs inputs;
@@ -406,35 +327,29 @@ struct NodeRunner {
       : sh(shared),
         s(shared.samples[i]),
         events(traced),
-        cell(scaled_pv(s.pv_scale)),
+        cfg(node_soc_config(shared.scenario, s)),
+        cell(cfg.pv),
         model(cell, shared.reg, shared.processors[i]),
         inputs(shared.controller_inputs(i)) {
     const FleetScenario& sc = sh.scenario;
-    PolicyContext ctx;
-    ctx.model = &model;
-    ctx.workload = PolicyWorkload{sc.job_cycles, sc.job_period,
-                                  sc.job_deadline, s.job_phase};
-    ctx.day_length = sc.day_length;
-    ctx.solar_capacitance = s.solar_capacitance;
-    ctx.vdd_capacitance = sc.vdd_cap;
-    ctx.solar_start_voltage = sh.soc.solar_start_voltage;
+    PolicyContext ctx = node_policy_context(sc, s, cfg, model);
     ctx.inputs = &inputs;
     controller = sh.policies[i]->make_controller(ctx);
 
     st.sc = &kScFlat;
     st.pc = &sh.proc[i];
-    st.trace = sh.shared_sky ? &sh.sky : &sh.traces[i];
+    st.trace = sc.shared_sky() ? &sh.sky : &sh.traces[i];
     st.iv = sh.iv.bind(s.pv_scale);
     st.t_end = sc.day_length.value();
-    st.dt_ref = sc.time_step.value();
-    st.tau = sh.soc.regulation_time_constant.value();
-    st.c_solar = s.solar_capacitance.value();
-    st.c_vdd = sc.vdd_cap.value();
-    st.r_on = sh.soc.bypass.on_resistance.value();
-    st.v_s = sh.soc.solar_start_voltage.value();
-    st.v_d = sh.soc.vdd_start_voltage.value();
+    st.dt_ref = cfg.time_step.value();
+    st.tau = cfg.regulation_time_constant.value();
+    st.c_solar = cfg.solar_capacitance.value();
+    st.c_vdd = cfg.vdd_capacitance.value();
+    st.r_on = cfg.bypass.on_resistance.value();
+    st.v_s = cfg.solar_start_voltage.value();
+    st.v_d = cfg.vdd_start_voltage.value();
     if (events != nullptr) {
-      bank.emplace(sh.soc.comparator_thresholds);
+      bank.emplace(cfg.comparator_thresholds);
       bank->reset(Volts(st.v_s));
       bank_edges.reserve(bank->size());
       st.bank = &*bank;
@@ -485,28 +400,8 @@ struct NodeRunner {
   /// Day-end flush: step accounting and the result build.
   NodeResult finish() const {
     st.flush_step_counts();
-    const PolicyJobStats jobs = controller->job_stats();
-
-    NodeResult out;
-    out.sample = s;
-    out.cycles = st.cycles;
-    out.brownouts = st.brownouts;
-    out.timing_faults = st.timing_faults;
-    out.jobs_submitted = jobs.submitted;
-    out.jobs_completed = jobs.completed;
-    out.jobs_missed = jobs.missed;
-    const int adjudicated = jobs.completed + jobs.missed;
-    out.deadline_hit_rate =
-        adjudicated > 0 ? static_cast<double>(jobs.completed) / adjudicated
-                        : 1.0;
-    out.mppt_error = mppt_den > 0.0 ? mppt_num / mppt_den : 0.0;
-    out.harvested = Joules(st.harvested);
-    out.delivered = Joules(st.delivered);
-    out.halted = Seconds(st.halted);
-    out.energy_per_job = jobs.completed > 0
-                             ? Joules(st.delivered / jobs.completed)
-                             : Joules(0.0);
-    return out;
+    return node_result(s, st.totals(), controller->job_stats(),
+                       mppt_den > 0.0 ? mppt_num / mppt_den : 0.0);
   }
 
   /// Scalar driver: the reference arrangement of the split step, used by
@@ -619,7 +514,6 @@ NodeResult BatchFleetKernel::run_node_traced(
 
 FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
   const Shared& sh = *shared_;
-  const auto before = solver_stats::snapshot();
   const int n = sh.scenario.nodes;
   std::vector<NodeResult> results(static_cast<std::size_t>(n));
   const int block = std::max(1, opts.block_size);
@@ -647,11 +541,6 @@ FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
         }
       }
     });
-  }
-  if (opts.check_no_exact_solves) {
-    const auto delta = solver_stats::delta_since(before);
-    HEMP_REQUIRE(delta.total() == 0,
-                 "BatchFleetKernel: exact solver invoked during a batch run");
   }
   return aggregate(sh.scenario, std::move(results));
 }

@@ -5,13 +5,15 @@
 // compressed day is ~50k ticks per node and the fleet engine tops out at
 // O(100) nodes/s.  This kernel restructures the hot path two ways:
 //
-//   * Structure-of-arrays parameter plane: every sampled node identity
-//     (PV scale, storage, corner-resolved processor constants, policy) is
-//     drawn once in the constructor into contiguous arrays, and the shared
-//     model evaluations — the (pv_scale, irradiance) MPP surface and the
-//     bypass-crossover table — are precomputed bilinear grids.  Nothing in
-//     the stepped loop calls an exact Brent/grid solver (asserted via
-//     common/solver_stats.hpp).
+//   * Structure-of-arrays parameter plane: every node is drawn, configured
+//     and reported through fleet/population.hpp — the functions
+//     FleetSimulator uses, so both engines simulate the same population —
+//     with its identity, policy, corner-resolved processor constants and
+//     flattened sky built once in the constructor into contiguous arrays.
+//     The shared model evaluations — the (pv_scale, irradiance) MPP surface
+//     and the bypass-crossover table — are precomputed bilinear grids.
+//     Nothing in the stepped loop calls an exact Brent/grid solver (the
+//     common/solver_stats.hpp counters stay flat over a run; tested).
 //
 //   * Event-driven stepping: instead of a fixed tick, each node jumps to the
 //     earliest of its next controller deadline, irradiance-trace breakpoint,
@@ -20,9 +22,10 @@
 //     occur strictly inside a step (see DESIGN.md).  Typical days integrate
 //     in a few hundred steps instead of ~50k ticks.
 //
-// Equivalence: the kernel reproduces the reference FleetSimulator aggregates
-// within tolerance (see tests/fleet/batch_kernel_test.cpp) but is not
-// bit-identical to it — the determinism contract is internal: the batch
+// Equivalence: node identities (every NodeSample field) match the reference
+// FleetSimulator's exactly; the simulated days reproduce its aggregates
+// within tolerance (see tests/fleet/batch_kernel_test.cpp) but are not
+// bit-identical to them — the determinism contract is internal: the batch
 // summary_hash is bit-stable across serial/parallel runs and shard order.
 #pragma once
 
@@ -44,10 +47,6 @@ struct BatchKernelOptions {
   bool parallel = true;
   /// Nodes per work item when sharding onto the pool.
   int block_size = 16;
-  /// Assert that the run performed zero exact-solver calls (debug counter
-  /// from common/solver_stats.hpp).  The check is process-wide, so callers
-  /// running concurrent exact solves elsewhere should disable it.
-  bool check_no_exact_solves = false;
   /// Advance up to flat::kSolarLaneWidth nodes concurrently so their
   /// per-step solar Newton solves share one vectorizable lane call
   /// (flat::integrate_solar_lane).  Lane elements converge and freeze

@@ -1,98 +1,27 @@
 #include "fleet/fleet_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
-#include "common/error.hpp"
-#include "policy/registry.hpp"
+#include "fleet/population.hpp"
 #include "processor/corners.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/soc_system.hpp"
 #include "sim/sweep.hpp"
-#include "trace/generators.hpp"
 
 namespace hemp {
 
 FleetSimulator::FleetSimulator(FleetScenario scenario)
     : scenario_(std::move(scenario)) {
   scenario_.validate();
-  if (!scenario_.policy.empty()) {
-    forced_policy_ = &PolicyRegistry::global().at(scenario_.policy);
-  }
-  const bool shared =
-      scenario_.shared_trace || scenario_.trace_kind == TraceKind::kCsv ||
-      scenario_.trace_kind == TraceKind::kConstant;
-  if (shared) {
-    // One sky for the whole fleet, drawn from a stream no node uses.
-    Rng sky_rng = Rng(scenario_.seed).fork(~0ULL);
+  forced_policy_ = forced_policy(scenario_);
+  if (scenario_.shared_sky()) {
     shared_trace_ =
-        std::make_shared<const IrradianceTrace>(make_trace(sky_rng));
+        std::make_shared<const IrradianceTrace>(make_shared_sky(scenario_));
   }
-}
-
-IrradianceTrace FleetSimulator::make_trace(Rng& rng) const {
-  switch (scenario_.trace_kind) {
-    case TraceKind::kConstant:
-      return IrradianceTrace::constant(scenario_.constant_g);
-    case TraceKind::kDiurnal: {
-      DiurnalArcParams params;
-      params.day_length = scenario_.day_length;
-      return diurnal_arc(rng, params);
-    }
-    case TraceKind::kClouds: {
-      CloudFieldParams params;
-      params.day.day_length = scenario_.day_length;
-      // Scale the default deck (tuned for a 0.25 s compressed day) with the
-      // scenario timeline so cloud counts stay day-length invariant.
-      const double stretch = scenario_.day_length.value() / 0.25;
-      params.mean_gap = Seconds(0.03 * stretch);
-      params.mean_duration = Seconds(0.01 * stretch);
-      return cloud_field(rng, params);
-    }
-    case TraceKind::kIndoor: {
-      IndoorDutyParams params;
-      params.duration = scenario_.day_length;
-      const double stretch = scenario_.day_length.value() / 0.25;
-      params.mean_on = Seconds(0.04 * stretch);
-      params.mean_off = Seconds(0.02 * stretch);
-      return indoor_duty(rng, params);
-    }
-    case TraceKind::kCsv:
-      return IrradianceTrace::from_csv(scenario_.trace_csv);
-  }
-  throw ModelError("FleetSimulator: unknown trace kind");
-}
-
-NodeSample FleetSimulator::sample_node(int index) const {
-  Rng rng = Rng(scenario_.seed).fork(static_cast<std::uint64_t>(index));
-  return sample_node(index, rng);
-}
-
-NodeSample FleetSimulator::sample_node(int index, Rng& rng) const {
-  NodeSample s;
-  s.index = index;
-  s.pv_scale = rng.uniform(scenario_.pv_scale_min, scenario_.pv_scale_max);
-  // Log-uniform: capacitor vendors quote decade series, and a fleet spans
-  // decades of storage size, not a linear band.
-  s.solar_capacitance =
-      Farads(std::exp(rng.uniform(std::log(scenario_.solar_cap_min.value()),
-                                  std::log(scenario_.solar_cap_max.value()))));
-  static constexpr ProcessCorner kCorners[] = {
-      ProcessCorner::kSlowSlow, ProcessCorner::kTypical,
-      ProcessCorner::kFastFast};
-  s.conditions.corner =
-      kCorners[rng.weighted(scenario_.corner_weights.data(),
-                            scenario_.corner_weights.size())];
-  s.conditions.temperature_c =
-      std::clamp(rng.normal(scenario_.temperature_mean_c,
-                            scenario_.temperature_sigma_c),
-                 -20.0, 85.0);
-  s.min_energy = rng.uniform() < scenario_.min_energy_fraction;
-  s.job_phase = scenario_.job_cycles > 0.0
-                    ? Seconds(rng.uniform(0.0, scenario_.job_period.value()))
-                    : Seconds(0.0);
-  return s;
 }
 
 namespace {
@@ -126,94 +55,42 @@ double mppt_tracking_error(const Waveform& wf, const SystemModel& model) {
 
 NodeResult FleetSimulator::run_node(int index,
                                     const IrradianceTrace* shared) const {
-  // One stream per node: the sampling draws come first, then (for per-node
-  // skies) the trace draws continue on the same stream.
-  Rng rng = Rng(scenario_.seed).fork(static_cast<std::uint64_t>(index));
-  NodeResult result;
-  result.sample = sample_node(index, rng);
-  const NodeSample& s = result.sample;
-
-  // --- Hardware: sampled PV size, storage, and process corner. --------------
-  SocConfig cfg;
-  cfg.pv = PvCellParams{};
-  cfg.pv.isc_full_sun = cfg.pv.isc_full_sun * s.pv_scale;
-  cfg.solar_capacitance = s.solar_capacitance;
-  cfg.vdd_capacitance = scenario_.vdd_cap;
-  cfg.time_step = scenario_.time_step;
-  cfg.waveform_interval = scenario_.waveform_interval;
+  // The node's stream: identity draws first, then (per-node skies) its trace.
+  Rng rng = node_rng(scenario_, index);
+  NodeSample s = sample_node(scenario_, index, rng);
+  const EnergyPolicy& policy = node_policy(forced_policy_, s);
+  SocConfig cfg = node_soc_config(scenario_, s);
+  cfg.fast_path = policy.fast_path();
 
   const PvCell cell(cfg.pv);
   const SwitchedCapRegulator model_regulator;
   const Processor processor = make_test_chip_at(s.conditions);
   const SystemModel model(cell, model_regulator, processor);
 
-  // --- Controller: the node's policy + the periodic job workload. -----------
-  // Without a forced scenario policy the legacy sampled mix routes each node
-  // through the ported mpp_track / mep_hold policies — which rebuild exactly
-  // the EnergyManager + PeriodicJobController pair the pre-policy fleet
-  // hardwired, so summary hashes are unchanged.
-  const EnergyPolicy& policy =
-      forced_policy_ != nullptr
-          ? *forced_policy_
-          : PolicyRegistry::global().at(s.min_energy ? "mep_hold" : "mpp_track");
-
-  const IrradianceTrace trace = shared ? *shared : make_trace(rng);
-
-  PolicyContext ctx;
-  ctx.model = &model;
-  ctx.workload = PolicyWorkload{scenario_.job_cycles, scenario_.job_period,
-                                scenario_.job_deadline, s.job_phase};
-  ctx.day_length = scenario_.day_length;
-  ctx.solar_capacitance = cfg.solar_capacitance;
-  ctx.vdd_capacitance = cfg.vdd_capacitance;
-  ctx.solar_start_voltage = cfg.solar_start_voltage;
+  const IrradianceTrace trace = shared ? *shared : make_trace(scenario_, rng);
+  PolicyContext ctx = node_policy_context(scenario_, s, cfg, model);
   ctx.trace = &trace;
 
   // Offline policies (the DP oracle) score the node analytically — the fleet
   // records the score in place of a transient.
   if (const std::optional<OfflineScore> score = policy.offline(ctx)) {
-    result.cycles = score->cycles;
-    result.jobs_submitted = score->jobs_submitted;
-    result.jobs_completed = score->jobs_completed;
-    result.jobs_missed = score->jobs_missed;
-    result.deadline_hit_rate = score->deadline_hit_rate;
-    result.harvested = score->harvested;
-    result.delivered = score->delivered;
-    result.halted = score->halted;
-    result.energy_per_job =
-        score->jobs_completed > 0
-            ? score->delivered / score->jobs_completed
-            : Joules(0.0);
-    return result;
+    SimTotals day;
+    day.cycles = score->cycles;
+    day.harvested = score->harvested;
+    day.delivered_to_processor = score->delivered;
+    day.halted_time = score->halted;
+    return node_result(s, day,
+                       {score->jobs_submitted, score->jobs_completed,
+                        score->jobs_missed},
+                       0.0);
   }
 
   // --- One simulated day. ---------------------------------------------------
   const std::unique_ptr<PolicyController> controller = policy.make_controller(ctx);
-  cfg.fast_path = policy.fast_path();
   SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
   const SimResult sim = soc.run(trace, *controller, scenario_.day_length);
-
-  const PolicyJobStats jobs = controller->job_stats();
-  result.cycles = sim.totals.cycles;
-  result.brownouts = sim.totals.brownouts;
-  result.timing_faults = sim.totals.timing_faults;
-  result.jobs_submitted = jobs.submitted;
-  result.jobs_completed = jobs.completed;
-  result.jobs_missed = jobs.missed;
-  const int adjudicated = result.jobs_completed + result.jobs_missed;
-  result.deadline_hit_rate =
-      adjudicated > 0
-          ? static_cast<double>(result.jobs_completed) / adjudicated
-          : 1.0;
-  result.mppt_error = mppt_tracking_error(sim.waveform, model);
-  result.harvested = sim.totals.harvested;
-  result.delivered = sim.totals.delivered_to_processor;
-  result.halted = sim.totals.halted_time;
-  result.energy_per_job =
-      result.jobs_completed > 0
-          ? sim.totals.delivered_to_processor / result.jobs_completed
-          : Joules(0.0);
-  return result;
+  return node_result(s, sim.totals, controller->job_stats(),
+                     mppt_tracking_error(sim.waveform, model));
 }
 
 FleetReport FleetSimulator::run(const FleetOptions& opts) const {

@@ -1,10 +1,10 @@
 // Fleet simulator: N heterogeneous battery-less nodes over one simulated day.
 //
-// Instantiates `scenario.nodes` independent SocSystem transients — each with
-// PV size, storage capacitance, fab corner, junction temperature, and
-// controller policy sampled from the scenario distributions via
-// Rng(seed).fork(node) — drives each over a shared or per-node irradiance
-// trace, and reduces the per-node results into a FleetReport.
+// The reference fleet engine.  Each node is drawn, configured and reported
+// through fleet/population.hpp — the same functions BatchFleetKernel uses —
+// then simulated as one SocSystem transient (dense reference loop, or the
+// single-node fast path for policies that opt in), or scored analytically
+// by an offline policy; the per-node results reduce into a FleetReport.
 //
 // Determinism contract: every stochastic choice for node i depends only on
 // (scenario.seed, i), each node's transient is single-threaded IEEE
@@ -15,7 +15,6 @@
 
 #include <memory>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/energy_manager.hpp"  // PeriodicJobController lives here now
 #include "fleet/report.hpp"
@@ -43,24 +42,16 @@ class FleetSimulator {
   /// with the same scenario returns a bit-identical report.
   [[nodiscard]] FleetReport run(const FleetOptions& opts = {}) const;
 
-  /// Draw node `index`'s identity (exposed for tests: sampling must depend
-  /// only on (seed, index)).
-  [[nodiscard]] NodeSample sample_node(int index) const;
-
   [[nodiscard]] const FleetScenario& scenario() const { return scenario_; }
 
  private:
-  [[nodiscard]] NodeSample sample_node(int index, Rng& rng) const;
-  [[nodiscard]] IrradianceTrace make_trace(Rng& rng) const;
   [[nodiscard]] NodeResult run_node(int index,
                                     const IrradianceTrace* shared) const;
 
   FleetScenario scenario_;
-  /// Set when the scenario shares one sky across the fleet (or replays CSV).
+  /// Set when scenario_.shared_sky().
   std::shared_ptr<const IrradianceTrace> shared_trace_;
-  /// Resolved scenario.policy — forces every node onto one policy.  nullptr
-  /// keeps the legacy sampled mix (min_energy_fraction Bernoulli per node
-  /// through the ported mpp_track / mep_hold policies).
+  /// forced_policy(scenario_); nullptr keeps the legacy sampled mix.
   const EnergyPolicy* forced_policy_ = nullptr;
 };
 

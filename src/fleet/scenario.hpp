@@ -3,8 +3,8 @@
 // A scenario is a plain-text `key = value` file (see scenarios/*.scn) naming
 // the population size, the master seed, the compressed-day timeline, the
 // light model, the node heterogeneity distributions, and the periodic job
-// workload.  One scenario + one seed fully determines a FleetReport — the
-// fleet simulator derives every stochastic choice from Rng(seed).fork(node).
+// workload.  One scenario + one seed fully determines a FleetReport: every
+// stochastic choice derives from Rng(seed).fork(node) (fleet/population.hpp).
 #pragma once
 
 #include <array>
@@ -46,11 +46,10 @@ struct FleetScenario {
   bool shared_trace = false;
   double constant_g = 1.0;  ///< level for TraceKind::kConstant
   std::string trace_csv;    ///< recording path for TraceKind::kCsv
-  /// Knot-coarsening budget for the batch kernel's flattened traces: the
-  /// absorbed-irradiance error allowed per simulated second (sun fraction;
-  /// the per-trace budget handed to flat::FlatTrace::coarsen is this times
-  /// day_length).  Zero keeps every flattened knot.  Only the batch kernel
-  /// reads it — the reference engine samples the exact profile.
+  /// Knot-coarsening budget for flattened traces (batch kernel, fast-path
+  /// nodes): the absorbed-irradiance error allowed per simulated second (sun
+  /// fraction; flat::FlatTrace::coarsen gets this times day_length).  Zero
+  /// keeps every knot; the dense reference loop samples the exact profile.
   double trace_coarsen_eps = 1e-3;
 
   // --- Node heterogeneity: PV size (Isc scale), storage capacitance
@@ -69,14 +68,20 @@ struct FleetScenario {
   double min_energy_fraction = 0.25;  // unit-lint: dimensionless fraction
   /// Registered energy-policy name forcing every node onto one policy
   /// (overrides the min_energy mix).  Empty keeps the legacy sampled mix.
-  /// Validated against the policy registry by the consumers (FleetSimulator,
-  /// BatchFleetKernel), not here — the scenario layer stays registry-free.
+  /// Resolved by forced_policy() (fleet/population.hpp), not here — the
+  /// scenario layer stays registry-free.
   std::string policy;
 
   // --- Periodic deadline jobs (0 cycles disables the workload).
   double job_cycles = 2e6;
   Seconds job_period{0.04};
   Seconds job_deadline{8e-3};
+
+  /// One sky for every node (CSV and constant light have only one).
+  [[nodiscard]] bool shared_sky() const {
+    return shared_trace || trace_kind == TraceKind::kCsv ||
+           trace_kind == TraceKind::kConstant;
+  }
 
   void validate() const;
 

@@ -136,7 +136,6 @@ class OraclePolicy final : public EnergyPolicy {
     score.jobs_submitted = sol.jobs.submitted;
     score.jobs_completed = sol.jobs.completed;
     score.jobs_missed = sol.jobs.missed;
-    score.deadline_hit_rate = sol.deadline_hit_rate;
     score.halted = sol.off_time;
     return score;
   }

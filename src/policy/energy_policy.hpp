@@ -69,6 +69,13 @@ struct PolicyJobStats {
   int submitted = 0;
   int completed = 0;
   int missed = 0;
+
+  /// Completed share of the adjudicated jobs; 1 when none was adjudicated.
+  [[nodiscard]] double deadline_hit_rate() const {
+    const int adjudicated = completed + missed;
+    return adjudicated > 0 ? static_cast<double>(completed) / adjudicated
+                           : 1.0;
+  }
 };
 
 /// A SocController that also carries its own job accounting (the fleet
@@ -87,7 +94,6 @@ struct OfflineScore {
   int jobs_submitted = 0;
   int jobs_completed = 0;
   int jobs_missed = 0;
-  double deadline_hit_rate = 1.0;
   Seconds halted{0.0};
 };
 

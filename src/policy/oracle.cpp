@@ -149,11 +149,7 @@ DpOracle::Solution DpOracle::solve(const IrradianceTrace& trace,
   sol.spent = Joules(spent);
   sol.off_time = Seconds(off_time);
   sol.jobs = jobs.stats();
-  const int adjudicated = sol.jobs.completed + sol.jobs.missed;
-  sol.deadline_hit_rate =
-      adjudicated > 0
-          ? static_cast<double>(sol.jobs.completed) / adjudicated
-          : 1.0;
+  sol.deadline_hit_rate = sol.jobs.deadline_hit_rate();
   return sol;
 }
 

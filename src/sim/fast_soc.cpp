@@ -51,7 +51,6 @@ struct FastEngine {
   SocState state{};
   SocCommand cmd{};
   double next_sample = 0.0;
-  SimTotals totals{};
 
   HEMP_HOT SimResult loop() {
     flat::StepPlan pl;
@@ -84,22 +83,13 @@ struct FastEngine {
         waveform->record(t, row);
         next_sample = t + interval;
       }
-      totals.simulated_time = Seconds(st.t);
       if (controller->finished(state)) break;
     }
 
-    totals.harvested = Joules(st.harvested);
-    totals.delivered_to_processor = Joules(st.delivered);
-    totals.regulator_loss = Joules(st.reg_loss);
-    totals.bypass_loss = Joules(st.byp_loss);
-    totals.cycles = st.cycles;
-    totals.brownouts = st.brownouts;
-    totals.timing_faults = st.timing_faults;
-    totals.halted_time = Seconds(st.halted);
     st.flush_step_counts();
     // hemp-analyzer: allow(hot-path-purity) — slack trim after the stepped loop
     waveform->finalize();
-    return SimResult{std::move(*waveform), totals, state};
+    return SimResult{std::move(*waveform), st.totals(), state};
   }
 };
 

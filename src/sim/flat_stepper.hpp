@@ -302,6 +302,21 @@ struct NodeStepper {
     }
   }
 
+  /// The run's totals so far (audit_checks stays 0).
+  [[nodiscard]] SimTotals totals() const {
+    SimTotals out;
+    out.harvested = Joules(harvested);
+    out.delivered_to_processor = Joules(delivered);
+    out.regulator_loss = Joules(reg_loss);
+    out.bypass_loss = Joules(byp_loss);
+    out.cycles = cycles;
+    out.brownouts = brownouts;
+    out.timing_faults = timing_faults;
+    out.halted_time = Seconds(halted);
+    out.simulated_time = Seconds(t);
+    return out;
+  }
+
   // ---------------------------------------------------------------------
   // Internals.
   // ---------------------------------------------------------------------

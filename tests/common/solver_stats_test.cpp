@@ -60,8 +60,9 @@ TEST(SolverStats, DarkMppShortCircuitIsNotCounted) {
   EXPECT_EQ(solver_stats::delta_since(before).total(), 0u);
 }
 
-// The exact pattern BatchFleetKernel::run uses for check_no_exact_solves:
-// bracket the work with a snapshot and HEMP_REQUIRE a zero delta.
+// The bracket a caller puts around work that must not solve exactly (the
+// batch kernel's NoExactSolvesDuringRun test, perfbench's run ledger): take a
+// snapshot before, and require a zero delta after.
 void require_no_exact_solves(const solver_stats::Snapshot& before) {
   const auto delta = solver_stats::delta_since(before);
   HEMP_REQUIRE(delta.total() == 0, "exact solver invoked during bracketed run");

@@ -10,6 +10,7 @@
 #include "common/solver_stats.hpp"
 #include "core/regulator_selector.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "fleet/population.hpp"
 #include "processor/corners.hpp"
 #include "regulator/switched_cap.hpp"
 
@@ -159,10 +160,37 @@ TEST(BatchFleetKernel, RunNodeMatchesRun) {
 TEST(BatchFleetKernel, NoExactSolvesDuringRun) {
   const BatchFleetKernel kernel(quick_scenario());
   const auto before = solver_stats::snapshot();
-  (void)kernel.run({.check_no_exact_solves = true});
+  (void)kernel.run();
   const auto delta = solver_stats::delta_since(before);
+  EXPECT_EQ(delta.total(), 0u);
   EXPECT_EQ(delta.mpp_solves, 0u);
   EXPECT_EQ(delta.regulated_solves, 0u);
+}
+
+TEST(BatchFleetKernel, ForcedPolicyNodeSamplesMatchReference) {
+  // Both engines draw and record every node through fleet/population.hpp, so
+  // under a forced EnergyManager policy they agree on each identity field —
+  // the recorded mode included, which is the policy's own, not the draw.
+  FleetScenario s = quick_scenario();
+  s.nodes = 16;
+  s.policy = "hyst_eager";
+  s.min_energy_fraction = 0.25;
+  const FleetReport batch = BatchFleetKernel(s).run();
+  const FleetReport ref = FleetSimulator(s).run();
+  ASSERT_EQ(batch.node_results.size(), ref.node_results.size());
+  for (std::size_t i = 0; i < ref.node_results.size(); ++i) {
+    const NodeSample& a = batch.node_results[i].sample;
+    const NodeSample& b = ref.node_results[i].sample;
+    EXPECT_EQ(a.index, b.index) << "node " << i;
+    EXPECT_EQ(a.pv_scale, b.pv_scale) << "node " << i;
+    EXPECT_EQ(a.solar_capacitance.value(), b.solar_capacitance.value())
+        << "node " << i;
+    EXPECT_EQ(a.conditions.corner, b.conditions.corner) << "node " << i;
+    EXPECT_EQ(a.conditions.temperature_c, b.conditions.temperature_c)
+        << "node " << i;
+    EXPECT_EQ(a.min_energy, b.min_energy) << "node " << i;
+    EXPECT_EQ(a.job_phase.value(), b.job_phase.value()) << "node " << i;
+  }
 }
 
 TEST(BatchFleetKernel, EquivalentToReferenceConstantLight) {
@@ -274,14 +302,13 @@ TEST(BatchFleetKernel, CrossoverTableTracksTheExactSelector) {
       "job_period_ms = 40\n"
       "job_deadline_ms = 8\n");
   const BatchFleetKernel kernel(s);
-  const FleetSimulator population(s);
   const SwitchedCapRegulator reg;
   int mismatched = 0;
   int both = 0;
   double err_sum = 0.0;
   double err_max = 0.0;
   for (int i = 0; i < s.nodes; ++i) {
-    const NodeSample n = population.sample_node(i);
+    const NodeSample n = sample_node(s, i);
     PvCellParams pv;
     pv.isc_full_sun = pv.isc_full_sun * n.pv_scale;
     const PvCell cell(pv);

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <set>
 
+#include "common/audit.hpp"
 #include "common/error.hpp"
+#include "fleet/population.hpp"
 
 namespace hemp {
 namespace {
@@ -59,9 +61,9 @@ TEST(FleetSimulator, DifferentSeedsProduceDifferentFleets) {
 }
 
 TEST(FleetSimulator, SamplingDependsOnlyOnSeedAndIndex) {
-  const FleetSimulator sim(quick_scenario());
-  const NodeSample first = sim.sample_node(3);
-  const NodeSample again = sim.sample_node(3);
+  const FleetScenario scenario = quick_scenario();
+  const NodeSample first = sample_node(scenario, 3);
+  const NodeSample again = sample_node(scenario, 3);
   EXPECT_EQ(first.pv_scale, again.pv_scale);
   EXPECT_EQ(first.solar_capacitance.value(), again.solar_capacitance.value());
   EXPECT_EQ(first.conditions.temperature_c, again.conditions.temperature_c);
@@ -69,14 +71,32 @@ TEST(FleetSimulator, SamplingDependsOnlyOnSeedAndIndex) {
   EXPECT_EQ(first.min_energy, again.min_energy);
 }
 
+TEST(FleetSimulator, FastPathHonoursScenarioTraceCoarsenEps) {
+  // Fast-path nodes coarsen their flattened sky with the scenario's budget,
+  // as the batch kernel does: a looser budget changes the simulated days.
+  FleetScenario scenario = quick_scenario();
+  scenario.trace_kind = TraceKind::kClouds;
+  scenario.policy = "hyst_eager";
+  scenario.trace_coarsen_eps = 0.0;
+  const FleetReport exact = FleetSimulator(scenario).run();
+  scenario.trace_coarsen_eps = 0.05;
+  const FleetReport coarse = FleetSimulator(scenario).run();
+  // HEMP_AUDIT builds keep every node on the audited dense loop, which
+  // samples the exact profile: there the budget must change nothing.
+  if (audit_compiled_in()) {
+    EXPECT_EQ(exact.summary_hash, coarse.summary_hash);
+  } else {
+    EXPECT_NE(exact.summary_hash, coarse.summary_hash);
+  }
+}
+
 TEST(FleetSimulator, PopulationIsHeterogeneous) {
   FleetScenario scenario = quick_scenario();
   scenario.nodes = 32;
-  const FleetSimulator sim(scenario);
   std::set<long> pv_scales;
   std::set<long> caps;
   for (int i = 0; i < scenario.nodes; ++i) {
-    const NodeSample s = sim.sample_node(i);
+    const NodeSample s = sample_node(scenario, i);
     EXPECT_GE(s.pv_scale, scenario.pv_scale_min);
     EXPECT_LE(s.pv_scale, scenario.pv_scale_max);
     EXPECT_GE(s.solar_capacitance.value(), scenario.solar_cap_min.value());
