@@ -15,8 +15,9 @@
 //     the headline `batch_nodes_per_sec` metric tracked by bench/baseline.json.
 //
 // Construction (trace flattening, surface builds) is timed separately from
-// run(): the kernel is built once and reused, so the per-run figure is pure
-// stepping throughput.  Both engines must reproduce their own summary hash
+// run(), parallel (`batch_build_s`) and serial (`batch_build_serial_s`): the
+// kernel is built once and reused, so the per-run figure is pure stepping
+// throughput.  Both engines must reproduce their own summary hash
 // across serial/parallel runs, or the bench aborts.
 //
 // Usage: fleet_bench [--quick] [--out PATH] [--day1000 PATH]
@@ -114,13 +115,18 @@ int main(int argc, char** argv) {
   }
 
   // Batch kernel on the same scenario.  Construction (trace flattening and
-  // surface builds, exact solves allowed) is timed once; the timed run() is
-  // pure event-driven stepping.
-  const auto batch_build_start = std::chrono::steady_clock::now();
+  // surface builds, exact solves allowed) is timed once on the shared pool
+  // and once serial; the timed run() is pure event-driven stepping.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point build_start = Clock::now();
   const BatchFleetKernel kernel(scenario);
+  const Clock::time_point serial_build_start = Clock::now();
+  { const BatchFleetKernel serial_built(scenario, {.parallel = false}); }
+  const Clock::time_point serial_build_end = Clock::now();
   const double batch_build_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    batch_build_start)
+      std::chrono::duration<double>(serial_build_start - build_start).count();
+  const double batch_build_serial_s =
+      std::chrono::duration<double>(serial_build_end - serial_build_start)
           .count();
   std::uint64_t batch_serial_hash = 0;
   std::uint64_t batch_parallel_hash = 0;
@@ -185,6 +191,7 @@ int main(int argc, char** argv) {
   suite.note("fleet_parallel_speedup",
              serial.seconds_per_batch() / parallel.seconds_per_batch());
   suite.note("batch_build_s", batch_build_s);
+  suite.note("batch_build_serial_s", batch_build_serial_s);
   suite.note("batch_vs_reference_speedup",
              serial.seconds_per_batch() / batch_serial.seconds_per_batch());
   suite.note("batch_day1000_nodes", day1000_nodes);

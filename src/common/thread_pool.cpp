@@ -60,6 +60,12 @@ namespace {
 // Shared state of one parallel_for call.  Workers and the caller all drain
 // the same atomic index counter, so load balances automatically and the
 // caller always makes progress even on a single-core machine.
+//
+// Helper tasks may still sit in the pool's queue when the caller has drained
+// every index — behind the caller itself, when the caller is a worker of the
+// same pool (a nested parallel_for).  So the caller waits only for helpers
+// that have already started; once it has closed the call, a helper that
+// starts later returns without touching the body.
 struct ForState {
   explicit ForState(std::size_t count, const std::function<void(std::size_t)>& fn)
       : n(count), body(fn) {}
@@ -79,12 +85,27 @@ struct ForState {
     }
   }
 
-  void helper_done() {
+  /// A helper task: join the drain unless the caller has closed the call.
+  void help() {
     {
       const std::lock_guard<std::mutex> lock(done_mutex);
-      --helpers_active;
+      if (closed) return;
+      ++helpers_running;
+    }
+    drain();
+    {
+      const std::lock_guard<std::mutex> lock(done_mutex);
+      --helpers_running;
     }
     done.notify_one();
+  }
+
+  /// The caller, after its own drain: close the call to late helpers and
+  /// wait for the running ones.
+  void close_and_wait() {
+    std::unique_lock<std::mutex> lock(done_mutex);
+    closed = true;
+    done.wait(lock, [&] { return helpers_running == 0; });
   }
 
   const std::size_t n;
@@ -95,7 +116,8 @@ struct ForState {
   std::exception_ptr error;
   std::mutex done_mutex;
   std::condition_variable done;
-  int helpers_active = 0;
+  int helpers_running = 0;
+  bool closed = false;
 };
 
 }  // namespace
@@ -113,24 +135,26 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   const auto state = std::make_shared<ForState>(n, body);
   const unsigned helpers =
       static_cast<unsigned>(std::min<std::size_t>(pool.size(), n - 1));
-  state->helpers_active = static_cast<int>(helpers);
   for (unsigned i = 0; i < helpers; ++i) {
-    pool.submit([state] {
-      state->drain();
-      state->helper_done();
-    });
+    pool.submit([state] { state->help(); });
   }
 
   state->drain();
-  {
-    std::unique_lock<std::mutex> lock(state->done_mutex);
-    state->done.wait(lock, [&] { return state->helpers_active == 0; });
-  }
+  state->close_and_wait();
   if (state->error) std::rethrow_exception(state->error);
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   parallel_for(ThreadPool::shared(), n, body);
+}
+
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    parallel_for(*pool, n, body);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) body(i);
 }
 
 }  // namespace hemp

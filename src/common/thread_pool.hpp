@@ -52,11 +52,19 @@ class ThreadPool {
 /// Run body(i) for every i in [0, n) using `pool`'s workers plus the calling
 /// thread.  Blocks until all indices are done.  The first exception thrown by
 /// any body is rethrown on the caller after completion; remaining indices are
-/// skipped on a best-effort basis once a body has thrown.
+/// skipped on a best-effort basis once a body has thrown.  A body may itself
+/// call parallel_for on the same pool: the caller never waits for a helper
+/// task that has not started, so nesting cannot deadlock.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
 /// parallel_for on the shared pool.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+
+/// parallel_for on `pool`, or the plain loop over the same bodies when `pool`
+/// is nullptr (the serial reference path of an options struct's
+/// `parallel = false`).
+void for_each_index(ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& body);
 
 }  // namespace hemp

@@ -95,6 +95,12 @@ std::pair<std::size_t, double> knot_cell(const std::vector<double>& knots,
   return {i, std::clamp(f, 0.0, 1.0)};
 }
 
+/// The pool `opts` shards onto, or nullptr for its serial loop.
+ThreadPool* shard_pool(const BatchKernelOptions& opts) {
+  if (!opts.parallel) return nullptr;
+  return opts.pool != nullptr ? opts.pool : &ThreadPool::shared();
+}
+
 /// Fig. 7a crossover irradiance of one process corner over a (temperature,
 /// pv_scale) knot grid, solved exactly in the constructor.  A knot without a
 /// crossover holds NaN.  at() takes existence from the nearest knot and
@@ -143,7 +149,7 @@ struct BatchFleetKernel::Shared {
   std::vector<NodeSample> samples;
   std::vector<const EnergyPolicy*> policies;  ///< forced, or the legacy mix's
   std::vector<flat::FlatProc> proc;
-  std::vector<Processor> processors;
+  std::vector<std::optional<Processor>> processors;  ///< all set by the ctor
   std::vector<std::optional<double>> crossover_g;  ///< Fig. 7a irradiance
   std::vector<FlatTrace> traces;  ///< empty when scenario.shared_sky()
 
@@ -178,12 +184,14 @@ struct BatchFleetKernel::Shared {
   }
 };
 
-BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
+BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
+                                   const BatchKernelOptions& opts) {
   auto shared = std::make_shared<Shared>();
   Shared& sh = *shared;
   sh.scenario = std::move(scenario);
   sh.scenario.validate();
   const FleetScenario& sc = sh.scenario;
+  ThreadPool* const pool = shard_pool(opts);
 
   // --- Policies: the kernel drives each node's registry-built controller
   // and only steps EnergyManager-backed FIFO policies; everything else must
@@ -199,19 +207,14 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     }
   }
 
-  // --- Shared MPP + terminal-current surfaces: exact solves sampled once
-  // for the fleet by the hemp::flat builders. -------------------------------
+  // --- Fixed work, one pass: the low-light crossover tables (an exact
+  // RegulatorSelector bisection per (corner, temperature, pv_scale) knot,
+  // over a grid that covers the sampled temperatures) and the shared MPP +
+  // terminal-current surfaces (exact solves per pv-scale slice, by the
+  // hemp::flat builders).  Each job shards its own knots or slices on the
+  // same pool. ---------------------------------------------------------------
   const auto [s_lo, s_hi] =
       widen_if_degenerate(sc.pv_scale_min, sc.pv_scale_max);
-  sh.mpp = flat::build_mpp_surface(PvCellParams{}, s_lo, s_hi, kSurfaceSKnots,
-                                   kSurfaceGMin, kSurfaceGMax, kSurfaceGKnots);
-  sh.iv = flat::build_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
-                                 PvCellParams{}, kIvVMax, kIvVKnots,
-                                 kSurfaceGMax, kIvGKnots);
-
-  // --- Low-light crossover tables: exact RegulatorSelector bisection per
-  // corner over a coarse (temperature, pv_scale) grid that covers the
-  // sampled temperatures; looked up per node by its corner. -----------------
   double t_lo = std::clamp(
       sc.temperature_mean_c - kCrossTempSigmas * sc.temperature_sigma_c,
       -20.0, 85.0);
@@ -223,21 +226,41 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     t_hi = t_lo + 1.0;
   }
   std::array<CrossoverTable, 3> cross;  // indexed by ProcessCorner
-  for (std::size_t c = 0; c < cross.size(); ++c) {
-    CrossoverTable& table = cross[c];
+  for (CrossoverTable& table : cross) {
     table.temps = linspace(t_lo, t_hi, kCrossTempKnots);
     table.scales = linspace(s_lo, s_hi, kCrossSKnots);
-    for (const double temp : table.temps) {
-      const Processor proc =
-          make_test_chip_at({static_cast<ProcessCorner>(c), temp});
-      for (const double s : table.scales) {
-        const PvCell cell(node_pv(s));
-        const SystemModel model(cell, sh.reg, proc);
-        table.g.push_back(RegulatorSelector(model).crossover_irradiance().value_or(
-            std::numeric_limits<double>::quiet_NaN()));
-      }
-    }
+    table.g.resize(table.temps.size() * table.scales.size());
   }
+  const std::size_t per_corner = cross[0].g.size();
+  const auto crossover_knot = [&](std::size_t k) {
+    CrossoverTable& table = cross[k / per_corner];
+    const std::size_t knot = k % per_corner;
+    const Processor proc = make_test_chip_at(
+        {static_cast<ProcessCorner>(k / per_corner),
+         table.temps[knot / table.scales.size()]});
+    const PvCell cell(node_pv(table.scales[knot % table.scales.size()]));
+    const SystemModel model(cell, sh.reg, proc);
+    table.g[knot] = RegulatorSelector(model).crossover_irradiance().value_or(
+        std::numeric_limits<double>::quiet_NaN());
+  };
+  // The longest job first: the caller starts on it at once.
+  for_each_index(pool, 3, [&](std::size_t job) {
+    switch (job) {
+      case 0:
+        for_each_index(pool, cross.size() * per_corner, crossover_knot);
+        break;
+      case 1:
+        sh.iv = flat::build_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
+                                       PvCellParams{}, kIvVMax, kIvVKnots,
+                                       kSurfaceGMax, kIvGKnots, pool);
+        break;
+      default:
+        sh.mpp = flat::build_mpp_surface(PvCellParams{}, s_lo, s_hi,
+                                         kSurfaceSKnots, kSurfaceGMin,
+                                         kSurfaceGMax, kSurfaceGKnots, pool);
+        break;
+    }
+  });
 
   // Adaptive knot coarsening: every flattened trace gives up knots until the
   // cumulative absorbed-irradiance perturbation hits the scenario's per-day
@@ -251,15 +274,17 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     if (coarsen_budget > 0.0) sh.sky.coarsen(coarsen_budget);
   }
 
+  // --- Node plane, one pass: node i draws from its own fork(i) stream and
+  // writes only slot i, so the plane is the same in any order. -------------
   const std::size_t n = static_cast<std::size_t>(sc.nodes);
   sh.samples.resize(n);
   sh.policies.resize(n);
   sh.proc.resize(n);
-  sh.processors.reserve(n);
+  sh.processors.resize(n);
   sh.crossover_g.resize(n);
   if (!sc.shared_sky()) sh.traces.resize(n);
 
-  for (std::size_t i = 0; i < n; ++i) {
+  for_each_index(pool, n, [&](std::size_t i) {
     Rng rng = node_rng(sc, static_cast<int>(i));
     NodeSample& s = sh.samples[i] = sample_node(sc, static_cast<int>(i), rng);
     sh.policies[i] = &node_policy(forced, s);
@@ -268,12 +293,13 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
     }
 
-    sh.processors.push_back(make_test_chip_at(s.conditions));
-    sh.proc[i] = flat::make_flat_proc(sh.processors.back());
+    sh.proc[i] =
+        flat::make_flat_proc(sh.processors[i].emplace(
+            make_test_chip_at(s.conditions)));
     sh.crossover_g[i] =
         cross[static_cast<std::size_t>(s.conditions.corner)].at(
             s.conditions.temperature_c, s.pv_scale);
-  }
+  });
 
   shared_ = std::move(shared);
 }
@@ -329,7 +355,7 @@ struct NodeRunner {
         events(traced),
         cfg(node_soc_config(shared.scenario, s)),
         cell(cfg.pv),
-        model(cell, shared.reg, shared.processors[i]),
+        model(cell, shared.reg, *shared.processors[i]),
         inputs(shared.controller_inputs(i)) {
     const FleetScenario& sc = sh.scenario;
     PolicyContext ctx = node_policy_context(sc, s, cfg, model);
@@ -529,8 +555,7 @@ FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
     const std::size_t blocks =
         (static_cast<std::size_t>(n) + static_cast<std::size_t>(block) - 1) /
         static_cast<std::size_t>(block);
-    ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::shared();
-    parallel_for(pool, blocks, [&](std::size_t b) {
+    parallel_for(*shard_pool(opts), blocks, [&](std::size_t b) {
       const int lo = static_cast<int>(b) * block;
       const int hi = std::min(lo + block, n);
       if (opts.simd_lanes) {

@@ -41,9 +41,10 @@
 namespace hemp {
 
 struct BatchKernelOptions {
-  /// Pool to shard nodes onto; nullptr uses ThreadPool::shared().
+  /// Pool to shard work onto; nullptr uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  /// false runs the serial loop (results are bit-identical either way).
+  /// false runs the same bodies in the serial loop (results are
+  /// bit-identical either way).
   bool parallel = true;
   /// Nodes per work item when sharding onto the pool.
   int block_size = 16;
@@ -67,9 +68,21 @@ struct BatchComparatorEvent {
 ///
 /// Construction precomputes the shared surfaces (exact solves are allowed
 /// and expected here); run() and run_node() never fall back to them.
+///
+/// Construction shards onto `opts`' pool by the same rule as run() (only
+/// `pool` and `parallel` are read), in two parallel_for passes: the fixed
+/// work (the MPP and IV surfaces per pv-scale slice, the crossover table per
+/// (corner, temperature, pv_scale) knot), then the node plane (draw, policy,
+/// flattened and coarsened sky, Processor, crossover lookup per node).  Every
+/// body writes only its own index's slot and node i draws only from
+/// node_rng(scenario, i), so the kernel — and every report it produces — is
+/// bit-identical to the serial loop's, whatever the thread order.  The
+/// passes nest parallel_for on one pool, so a kernel may also be built
+/// inside a task of that pool.
 class BatchFleetKernel {
  public:
-  explicit BatchFleetKernel(FleetScenario scenario);
+  explicit BatchFleetKernel(FleetScenario scenario,
+                            const BatchKernelOptions& opts = {});
   ~BatchFleetKernel();
 
   BatchFleetKernel(const BatchFleetKernel&) = delete;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "harvester/iv_curve.hpp"
 
 namespace hemp::flat {
@@ -254,7 +255,7 @@ IvSurface::Bound IvSurface::bind(double pv_scale) const {
 
 IvSurface build_iv_surface(std::vector<double> s_knots,
                            const PvCellParams& base, double v_max, int v_knots,
-                           double g_max, int g_knots) {
+                           double g_max, int g_knots, ThreadPool* pool) {
   HEMP_REQUIRE(!s_knots.empty() && v_knots >= 2 && g_knots >= 2,
                "build_iv_surface: degenerate grid");
   IvSurface iv;
@@ -266,7 +267,7 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
   const std::size_t slice =
       static_cast<std::size_t>(v_knots) * static_cast<std::size_t>(g_knots);
   iv.vals.resize(iv.s_knots.size() * slice);
-  for (std::size_t i = 0; i < iv.s_knots.size(); ++i) {
+  for_each_index(pool, iv.s_knots.size(), [&](std::size_t i) {
     PvCellParams scaled = base;
     scaled.isc_full_sun = base.isc_full_sun * iv.s_knots[i];
     const FlatPv flat = make_flat_pv(scaled);
@@ -278,7 +279,7 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
             pv_current(flat, vi * iv.dv, gi * iv.dg, warm);
       }
     }
-  }
+  });
   return iv;
 }
 
@@ -288,7 +289,7 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
 
 MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
                              int s_count, double g_min, double g_max,
-                             int g_count) {
+                             int g_count, ThreadPool* pool) {
   HEMP_REQUIRE(s_count >= 2 && g_count >= 2 && g_min > 0.0 && g_max > g_min,
                "build_mpp_surface: degenerate grid");
   MppSurface surf;
@@ -304,7 +305,7 @@ MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
   }
   std::vector<double> vmpp_vals(surf.s_knots.size() * surf.g_knots.size());
   std::vector<double> pmpp_vals(vmpp_vals.size());
-  for (std::size_t i = 0; i < surf.s_knots.size(); ++i) {
+  for_each_index(pool, surf.s_knots.size(), [&](std::size_t i) {
     PvCellParams scaled = base;
     scaled.isc_full_sun = base.isc_full_sun * surf.s_knots[i];
     const PvCell cell(scaled);
@@ -313,7 +314,7 @@ MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
       vmpp_vals[i * surf.g_knots.size() + j] = mpp.voltage.value();
       pmpp_vals[i * surf.g_knots.size() + j] = mpp.power.value();
     }
-  }
+  });
   surf.vmpp.emplace(surf.s_knots, surf.g_knots, std::move(vmpp_vals));
   surf.pmpp.emplace(surf.s_knots, surf.g_knots, std::move(pmpp_vals));
   return surf;

@@ -48,6 +48,10 @@
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
 
+namespace hemp {
+class ThreadPool;
+}  // namespace hemp
+
 namespace hemp::flat {
 
 // ---------------------------------------------------------------------------
@@ -338,9 +342,12 @@ struct IvSurface {
 /// Sample the fast Newton solve over (v, g) for each pv-scale knot.  `base`
 /// supplies every cell parameter except the short-circuit current, which is
 /// scaled per knot.  `s_knots` must be uniformly spaced (or a single knot).
+/// A non-null `pool` builds the pv-scale slices in parallel (bit-identical:
+/// each slice is written only by its own index).
 IvSurface build_iv_surface(std::vector<double> s_knots,
                            const PvCellParams& base, double v_max, int v_knots,
-                           double g_max, int g_knots);
+                           double g_max, int g_knots,
+                           ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // (pv_scale, irradiance) MPP surfaces: exact find_mpp, sampled once.
@@ -366,10 +373,11 @@ struct MppSurface {
 };
 
 /// Exact find_mpp sampled over linear pv-scale knots and log-spaced
-/// irradiance knots (ctor-time only; the stepped loops read bilinearly).
+/// irradiance knots (ctor-time only; the stepped loops read bilinearly).  A
+/// non-null `pool` solves the pv-scale slices in parallel, as above.
 MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
                              int s_count, double g_min, double g_max,
-                             int g_count);
+                             int g_count, ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // Closed-form stepping primitives.

@@ -86,6 +86,21 @@ TEST(ParallelFor, ZeroWorkerPoolStillCompletes) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
+TEST(ThreadPool, NestedParallelForOnOnePoolCompletes) {
+  // The one worker runs an outer helper, whose inner parallel_for queues its
+  // own helper behind itself: the inner caller must not wait for it.
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> visits(2 * 4);
+  parallel_for(pool, 2, [&](std::size_t outer) {
+    parallel_for(pool, 4, [&](std::size_t inner) {
+      visits[outer * 4 + inner].fetch_add(1);
+    });
+  });
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(ParallelFor, StressManySmallRuns) {
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/solver_stats.hpp"
+#include "common/thread_pool.hpp"
 #include "core/regulator_selector.hpp"
 #include "fleet/fleet_sim.hpp"
 #include "fleet/population.hpp"
@@ -165,6 +168,113 @@ TEST(BatchFleetKernel, NoExactSolvesDuringRun) {
   EXPECT_EQ(delta.total(), 0u);
   EXPECT_EQ(delta.mpp_solves, 0u);
   EXPECT_EQ(delta.regulated_solves, 0u);
+}
+
+/// The hardware population and policy mix scenarios/smoke.scn and
+/// scenarios/day1000.scn share.
+constexpr const char* kShippedPopulation =
+    "trace = clouds\n"
+    "shared_trace = false\n"
+    "pv_scale_min = 0.6\n"
+    "pv_scale_max = 1.4\n"
+    "solar_cap_min_uf = 22\n"
+    "solar_cap_max_uf = 100\n"
+    "vdd_cap_uf = 10\n"
+    "corner_ss = 0.2\n"
+    "corner_tt = 0.6\n"
+    "corner_ff = 0.2\n"
+    "temperature_mean_c = 25\n"
+    "temperature_sigma_c = 8\n"
+    "min_energy_fraction = 0.25\n";
+
+/// scenarios/smoke.scn.
+FleetScenario smoke_scenario() {
+  return FleetScenario::from_string(
+      std::string(kShippedPopulation) +
+      "name = smoke\n"
+      "nodes = 16\n"
+      "seed = 7\n"
+      "day_length_s = 0.05\n"
+      "time_step_us = 10\n"
+      "waveform_interval_us = 500\n"
+      "job_cycles = 1e6\n"
+      "job_period_ms = 10\n"
+      "job_deadline_ms = 4\n");
+}
+
+/// The first `nodes` nodes of scenarios/day1000.scn.
+FleetScenario day1000_scenario(int nodes) {
+  return FleetScenario::from_string(
+      std::string(kShippedPopulation) +
+      "name = day1000\n"
+      "nodes = " + std::to_string(nodes) + "\n"
+      "seed = 2018\n"
+      "day_length_s = 0.25\n"
+      "time_step_us = 5\n"
+      "waveform_interval_us = 250\n"
+      "job_cycles = 2e6\n"
+      "job_period_ms = 40\n"
+      "job_deadline_ms = 8\n");
+}
+
+/// Assert two ControllerInputs read the same surfaces and table: every
+/// field, and the lookups at probe points.
+void expect_same_inputs(const ControllerInputs& a, const ControllerInputs& b) {
+  EXPECT_EQ(a.full_sun_mpp.voltage.value(), b.full_sun_mpp.voltage.value());
+  EXPECT_EQ(a.full_sun_mpp.power.value(), b.full_sun_mpp.power.value());
+  EXPECT_EQ(a.crossover_power.value(), b.crossover_power.value());
+  EXPECT_EQ(a.lut.measure_voltage().value(), b.lut.measure_voltage().value());
+  for (const double g : {0.001, 0.02, 0.3, 0.77, 1.2}) {
+    EXPECT_EQ(a.mpp(g).voltage.value(), b.mpp(g).voltage.value());
+    EXPECT_EQ(a.mpp(g).power.value(), b.mpp(g).power.value());
+    const Watts p = a.mpp(g).power;
+    EXPECT_EQ(a.lut.mpp_voltage_for(p).value(),
+              b.lut.mpp_voltage_for(p).value());
+    EXPECT_EQ(a.lut.irradiance_for(p), b.lut.irradiance_for(p));
+    EXPECT_EQ(a.lut.mpp_power_for(p).value(), b.lut.mpp_power_for(p).value());
+  }
+}
+
+TEST(BatchFleetKernel, ConstructionIndependentOfThreadOrder) {
+  // Serial construction against a 4-thread pool: the same kernel, built by
+  // the same exact solves, whatever order the pool runs the bodies in.
+  ThreadPool pool(4);
+  for (const FleetScenario& s :
+       {smoke_scenario(), day1000_scenario(64)}) {
+    SCOPED_TRACE(s.name);
+    const auto serial_before = solver_stats::snapshot();
+    const BatchFleetKernel serial(s, {.parallel = false});
+    const auto serial_solves = solver_stats::delta_since(serial_before);
+    const auto pooled_before = solver_stats::snapshot();
+    const BatchFleetKernel pooled(s, {.pool = &pool});
+    const auto pooled_solves = solver_stats::delta_since(pooled_before);
+    EXPECT_GT(serial_solves.mpp_solves, 0u);
+    EXPECT_EQ(serial_solves.mpp_solves, pooled_solves.mpp_solves);
+    EXPECT_EQ(serial_solves.regulated_solves, pooled_solves.regulated_solves);
+    for (int i = 0; i < s.nodes; ++i) {
+      SCOPED_TRACE("node " + std::to_string(i));
+      expect_same_inputs(serial.controller_inputs(i),
+                         pooled.controller_inputs(i));
+    }
+    EXPECT_EQ(serial.run({.parallel = false}).summary_hash,
+              pooled.run({.pool = &pool}).summary_hash);
+  }
+}
+
+TEST(BatchFleetKernel, BuildsAndRunsInsideATaskOfItsOwnPool) {
+  // A kernel built and run inside a pool task nests parallel_for on that
+  // pool; with one worker, every nested helper queues behind its caller.
+  const std::uint64_t expected =
+      BatchFleetKernel(quick_scenario(), {.parallel = false})
+          .run({.parallel = false})
+          .summary_hash;
+  ThreadPool pool(1);
+  std::vector<std::uint64_t> hashes(2, 0);
+  parallel_for(pool, hashes.size(), [&](std::size_t i) {
+    const BatchFleetKernel kernel(quick_scenario(), {.pool = &pool});
+    hashes[i] = kernel.run({.pool = &pool, .block_size = 2}).summary_hash;
+  });
+  for (const std::uint64_t h : hashes) EXPECT_EQ(h, expected);
 }
 
 TEST(BatchFleetKernel, ForcedPolicyNodeSamplesMatchReference) {

@@ -4,9 +4,10 @@
 //            [--nodes N] [--seed S] [--coarsen-eps E] [--serial]
 //            [--out DIR] [--no-files]
 //
-// Loads the scenario description, simulates the fleet (parallel by default,
-// `--serial` for the single-threaded loop; both orders are bit-identical),
-// prints the population aggregates plus the determinism witness
+// Loads the scenario description, builds and simulates the fleet (parallel
+// by default, `--serial` for the single-threaded loop in both phases; both
+// orders are bit-identical), prints the population aggregates, the wall time
+// split into construction and run, and the determinism witness
 // (`summary_hash`), and writes
 // <out>/<name>_summary.json and <out>/<name>_nodes.csv.  Two runs with the
 // same scenario and seed print the same hash and write byte-identical JSON.
@@ -142,19 +143,25 @@ int main(int argc, char** argv) {
     }
     scenario.validate();
 
-    const auto t0 = std::chrono::steady_clock::now();
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point t0 = Clock::now();
+    Clock::time_point built;
     FleetReport report;
     if (use_batch) {
-      const BatchFleetKernel kernel(scenario);
+      const BatchFleetKernel kernel(scenario, {.parallel = !serial});
+      built = Clock::now();
       report = kernel.run({.parallel = !serial});
     } else {
       const FleetSimulator sim(scenario);
+      built = Clock::now();
       FleetOptions opts;
       opts.parallel = !serial;
       report = sim.run(opts);
     }
-    const auto t1 = std::chrono::steady_clock::now();
+    const Clock::time_point t1 = Clock::now();
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();
+    const double construct_s =
+        std::chrono::duration<double>(built - t0).count();
 
     std::printf("scenario:      %s (%s)\n", report.scenario_name.c_str(),
                 scenario_path.c_str());
@@ -168,10 +175,11 @@ int main(int argc, char** argv) {
       std::printf("policy:        %s (forced on every node)\n",
                   scenario.policy.c_str());
     }
-    std::printf("execution:     %s, %u pool thread(s), %.3f s wall "
-                "(%.1f nodes/s)\n",
+    std::printf("execution:     %s, %u pool thread(s), %.3f s wall = "
+                "%.3f s construct + %.3f s run (%.1f nodes/s)\n",
                 serial ? "serial" : "parallel", ThreadPool::shared().size(),
-                wall_s, report.nodes / wall_s);
+                wall_s, construct_s, wall_s - construct_s,
+                report.nodes / wall_s);
     std::printf("\ntotals:\n");
     std::printf("  cycles         %.6e\n", report.total_cycles);
     std::printf("  harvested      %.6g J\n", report.total_harvested.value());

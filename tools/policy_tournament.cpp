@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
           const auto t0 = std::chrono::steady_clock::now();
           std::optional<BatchFleetKernel> kernel;
           try {
-            kernel.emplace(sc);
+            kernel.emplace(sc, BatchKernelOptions{.parallel = !serial});
           } catch (const ModelError&) {
           }
           const bool batch = kernel.has_value();
