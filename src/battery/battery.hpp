@@ -36,7 +36,8 @@ class Battery {
  public:
   explicit Battery(const BatteryParams& params = {}, double initial_soc = 1.0);
 
-  [[nodiscard]] double state_of_charge() const { return soc_; }  // unit-lint: dimensionless fraction in [0, 1]
+  // hemp-analyzer: allow(unit-boundary) — dimensionless fraction in [0, 1]
+  [[nodiscard]] double state_of_charge() const { return soc_; }
   [[nodiscard]] Coulombs charge_remaining() const {
     return Coulombs(params_.capacity.value() * soc_);
   }

@@ -56,7 +56,8 @@ class PerformanceOptimizer {
   struct Comparison {
     PerfPoint unregulated;
     PerfPoint regulated;
-    double power_gain = 0.0;  ///< regulated/unregulated power - 1 (unit-lint: ratio)
+    // hemp-analyzer: allow(unit-boundary) — dimensionless ratio
+    double power_gain = 0.0;  ///< regulated/unregulated power - 1
     double speed_gain = 0.0;  ///< regulated/unregulated frequency - 1
   };
   [[nodiscard]] Comparison compare(double g) const;

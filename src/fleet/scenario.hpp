@@ -65,7 +65,8 @@ struct FleetScenario {
   double temperature_sigma_c = 8.0;
   /// Fraction of nodes running the min-energy (holistic MEP) policy; the
   /// rest run max-performance MPP tracking.
-  double min_energy_fraction = 0.25;  // unit-lint: dimensionless fraction
+  // hemp-analyzer: allow(unit-boundary) — dimensionless fraction
+  double min_energy_fraction = 0.25;
   /// Registered energy-policy name forcing every node onto one policy
   /// (overrides the min_energy mix).  Empty keeps the legacy sampled mix.
   /// Resolved by forced_policy() (fleet/population.hpp), not here — the

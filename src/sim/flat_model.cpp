@@ -376,11 +376,6 @@ RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
   return out;
 }
 
-double rail_regulated_step(double e_0, double e_t, double dt, double dt_ref,
-                           double tau, double p_load, double rated) {
-  return rail_regulated_episode(e_0, e_t, dt, dt_ref, tau, p_load, rated).e_end;
-}
-
 double rail_settle_dt(double e_0, double e_t, double dt_ref, double tau,
                       double p_load, double rated, double e_band_lo,
                       double e_band_hi) {

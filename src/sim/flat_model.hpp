@@ -17,7 +17,7 @@
 //   * FlatTrace                — the irradiance profile pre-sampled onto a
 //     knot grid (linear between knots, so extrema sit at interval endpoints
 //     and knots double as "trace may kink here" step bounds);
-//   * rail_regulated_step      — the exact piecewise 3-regime closed form of
+//   * rail_regulated_episode   — the exact piecewise 3-regime closed form of
 //     the reference loop's discrete regulated-rail map;
 //   * integrate_solar / integrate_bypass_merged — implicit-midpoint node
 //     integrators over the IV surface;
@@ -100,7 +100,8 @@ FlatPv make_flat_pv(const PvCellParams& p);
 /// Terminal current of the single-diode cell: safeguarded Newton on the same
 /// implicit KCL PvCell::current solves with Brent, including its edge cases.
 /// `warm` carries the previous solution as the start iterate.
-double pv_current(const FlatPv& pv, double v, double g, double& warm);  // unit-lint: flattened kernel math on raw SI
+// hemp-analyzer: allow(unit-boundary) — flattened kernel math on raw SI
+double pv_current(const FlatPv& pv, double v, double g, double& warm);
 
 // ---------------------------------------------------------------------------
 // Switched-capacitor regulator.
@@ -112,7 +113,8 @@ struct FlatSc {
   std::array<double, kScMaxRatios> ratios{};
   std::size_t n_ratios = 0;
   double margin = 0.0;
-  double control_power = 0.0;  // unit-lint: flattened kernel math on raw SI
+  // hemp-analyzer: allow(unit-boundary) — flattened kernel math on raw SI
+  double control_power = 0.0;
   double switch_loss = 0.0;
   double min_out = 0.0;
   double rated = 0.0;
@@ -179,18 +181,9 @@ inline double proc_leak(const FlatProc& p, double v) {
 }
 
 /// Mirrors PowerModel::total_power.
-inline double proc_power(const FlatProc& p, double v, double f) {  // unit-lint: flattened kernel math on raw SI
+// hemp-analyzer: allow(unit-boundary) — flattened kernel math on raw SI
+inline double proc_power(const FlatProc& p, double v, double f) {
   return p.ceff * v * v * f + proc_leak(p, v);
-}
-
-/// Mirrors Processor::max_power (full speed at v).
-inline double proc_max_power(const FlatProc& p, double v) {  // unit-lint: flattened kernel math on raw SI
-  return proc_power(p, v, proc_fmax(p, v));
-}
-
-/// Mirrors Processor::energy_per_cycle at full speed.
-inline double proc_epc(const FlatProc& p, double v) {
-  return p.ceff * v * v + proc_leak(p, v) / proc_fmax(p, v);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,32 +376,11 @@ MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
 // Closed-form stepping primitives.
 // ---------------------------------------------------------------------------
 
-/// Advance the reference loop's discrete regulated-rail map by `dt` in closed
-/// form and return the end-of-step rail energy.
-///
-/// The reference applies the load *before* computing the restore power
-/// p_restore = (E_t - E_afterload)/tau, so one tick is the affine map
-/// E' = E + (dt_ref/tau) * (E_t + p_load*dt_ref - E): plain Euler toward an
-/// *effective* target `e_t` one tick of load energy above the commanded
-/// energy.  The per-tick output clamp p_out in [0, rated] splits the map into
-/// three regimes by the pre-tick energy e:
-///   e <  e_hi : p_out pinned at rated    -> linear ramp up
-///   e >  e_lo : p_out pinned at zero     -> linear drain at p_load
-///   otherwise : unclamped Euler          -> geometric decay to e_t with
-///               ratio (1 - dt_ref/tau) per tick — not exp(-dt/tau), whose
-///               rate differs by ~10% at dt_ref/tau = 0.2
-/// Both linear phases march monotonically into the middle band and the
-/// geometric phase never leaves it, so whole ticks compose in closed form
-/// phase by phase (per-tick regime choice uses the pre-tick energy, exactly
-/// like the reference loop).  A final sub-tick remainder falls through as
-/// geometric.
-double rail_regulated_step(double e_0, double e_t, double dt, double dt_ref,
-                           double tau, double p_load, double rated);
-
-/// Closed-form settle horizon of the same 3-regime map: the time (a whole
-/// number of reference ticks) after which the rail energy, starting from
-/// `e_0`, first lands inside [e_band_lo, e_band_hi] around the effective
-/// target `e_t` — i.e. when the settle transient is over.  Returns infinity
+/// Closed-form settle horizon of the 3-regime map rail_regulated_episode
+/// advances: the time (a whole number of reference ticks) after which the
+/// rail energy, starting from `e_0`, first lands inside [e_band_lo,
+/// e_band_hi] around the effective target `e_t` — i.e. when the settle
+/// transient is over.  Returns infinity
 /// when the map can never reach the band: draining with zero load pins the
 /// rail (the regulator cannot sink), and a zero-width ramp (rated == p_load)
 /// pins it below.  A ramp tick can jump clean across a narrow band; the
@@ -421,7 +393,7 @@ double rail_settle_dt(double e_0, double e_t, double dt_ref, double tau,
                       double p_load, double rated, double e_band_lo,
                       double e_band_hi);
 
-/// Per-regime decomposition of one rail_regulated_step advance, for energy
+/// Per-regime decomposition of one rail_regulated_episode advance, for energy
 /// accounting across a long settle episode.  The regulator output power is
 /// piecewise simple over the step — pinned at `rated` on the ramp, pinned at
 /// zero on the drain, and decaying from the regime boundary inside the
@@ -448,9 +420,25 @@ struct PowMemo {
   double val = 1.0;
 };
 
-/// Same closed form as rail_regulated_step (bit-identical e_end), with the
-/// per-regime time split exposed.  `memo`, when given, caches the rho^k
-/// evaluation across calls.
+/// Advance the reference loop's discrete regulated-rail map by `dt` in closed
+/// form: the end-of-step rail energy, with the per-regime time split exposed.
+///
+/// The reference applies the load *before* computing the restore power
+/// p_restore = (E_t - E_afterload)/tau, so one tick is the affine map
+/// E' = E + (dt_ref/tau) * (E_t + p_load*dt_ref - E): plain Euler toward an
+/// *effective* target `e_t` one tick of load energy above the commanded
+/// energy.  The per-tick output clamp p_out in [0, rated] splits the map into
+/// three regimes by the pre-tick energy e:
+///   e <  e_hi : p_out pinned at rated    -> linear ramp up
+///   e >  e_lo : p_out pinned at zero     -> linear drain at p_load
+///   otherwise : unclamped Euler          -> geometric decay to e_t with
+///               ratio (1 - dt_ref/tau) per tick — not exp(-dt/tau), whose
+///               rate differs by ~10% at dt_ref/tau = 0.2
+/// Both linear phases march monotonically into the middle band and the
+/// geometric phase never leaves it, so whole ticks compose in closed form
+/// phase by phase (per-tick regime choice uses the pre-tick energy, exactly
+/// like the reference loop).  A final sub-tick remainder falls through as
+/// geometric.  `memo`, when given, caches the rho^k evaluation across calls.
 RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
                                    double dt_ref, double tau, double p_load,
                                    double rated, PowMemo* memo = nullptr);

@@ -476,7 +476,7 @@ struct NodeStepper {
       reg_ok = sc_ok;
       if (!sc_ok) return;
       // Closed-form restoration matching the reference tick map exactly
-      // (see rail_regulated_step for the 3-regime derivation).  The steady
+      // (see rail_regulated_episode for the 3-regime derivation).  The steady
       // rail rides at sqrt(vt^2 + 2*p_load*dt_ref/C), which keeps the
       // commanded frequency off the f_max clamp.
       const double vt = cmd.vdd_target.value();

@@ -65,7 +65,7 @@ struct SocConfig {
   /// the per-run budget handed to flat::FlatTrace::coarsen is this times the
   /// run length).  Zero keeps every flattened knot.  Only the fast path reads
   /// it — the dense reference loop samples the exact profile.
-  double trace_coarsen_eps = 1e-3;  // unit-lint: dimensionless sun fraction
+  double trace_coarsen_eps = 1e-3;
 
   void validate() const;
 };

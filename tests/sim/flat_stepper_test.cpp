@@ -57,10 +57,6 @@ TEST(FlatStepper, RailEpisodeMatchesReferenceTickMapTickByTick) {
       ASSERT_NEAR(ep.e_end, e_ref, 1e-9 * e_eff)
           << "v_0=" << c.v_0 << " v_cmd=" << c.v_cmd << " ticks=" << n;
       ASSERT_NEAR(ep.t_ramp + ep.t_drain + ep.t_decay, dt, 1e-12 * dt);
-      // rail_regulated_step is the same closed form.
-      ASSERT_EQ(flat::rail_regulated_step(e_0, e_eff, dt, c.dt_ref, tau,
-                                          c.p_load, rated),
-                ep.e_end);
     }
   }
 }

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <string>
 
+#include "cli_args.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/batch_kernel.hpp"
 #include "fleet/fleet_sim.hpp"
@@ -96,15 +97,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-files") {
       write_files = false;
     } else if (arg == "--nodes") {
-      override_nodes = std::atoi(next("--nodes"));
+      override_nodes =
+          cli::parse_flag("fleetsim", "--nodes", next("--nodes"), 1, "an integer >= 1");
     } else if (arg == "--seed") {
-      override_seed = std::atoll(next("--seed"));
+      override_seed = cli::parse_flag("fleetsim", "--seed", next("--seed"), 0LL,
+                                      "an integer >= 0");
     } else if (arg == "--coarsen-eps") {
-      override_coarsen_eps = std::atof(next("--coarsen-eps"));
-      if (override_coarsen_eps < 0.0) {
-        std::fprintf(stderr, "fleetsim: --coarsen-eps must be >= 0\n");
-        return 2;
-      }
+      override_coarsen_eps = cli::parse_flag("fleetsim", "--coarsen-eps",
+                                             next("--coarsen-eps"), 0.0,
+                                             "a finite number >= 0");
     } else if (arg == "--out") {
       out_dir = next("--out");
     } else if (arg == "--help" || arg == "-h") {

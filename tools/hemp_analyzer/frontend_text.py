@@ -1,7 +1,6 @@
 """Pure-Python C++ frontend for hemp_analyzer.
 
-Lowers a C++ source file to the FileIR in model.py without libclang: a
-comment/string-aware tokenizer, a scope tracker (namespace / class / enum),
+Lowers a C++ source file to the FileIR in model.py: a comment/string-aware tokenizer, a scope tracker (namespace / class / enum),
 and a function-body scanner that records call and op events with receiver
 identifiers bound to declared types where the declaration is visible.
 
@@ -19,12 +18,9 @@ from pathlib import Path
 
 from model import (NONDET_TOKENS, UNORDERED_TOKENS, CallEvent, ClassInfo,
                    FileIR, FunctionInfo, MemberInfo, OpEvent, ParamInfo,
-                   type_name_from_tokens)
+                   VariableInfo, type_name_from_tokens)
 
 SUPPRESS_RE = re.compile(r"hemp-analyzer:\s*allow\(([^)]*)\)")
-# tools/unit_lint.py exemption markers double as unit-boundary suppressions
-# so one reviewed `// unit-lint: <reason>` satisfies both linters.
-UNIT_LINT_MARKER = "unit-lint:"
 
 HOT_MACRO = "HEMP_HOT"
 HOT_ANNOTATION = "hemp::hot"
@@ -93,8 +89,6 @@ def _blank_comments_strings(text: str):
             if m:
                 checks = {p.strip() for p in m.group(1).split(",") if p.strip()}
                 suppress.setdefault(mark_line, set()).update(checks)
-            if UNIT_LINT_MARKER in comment:
-                suppress.setdefault(mark_line, set()).add("unit-boundary")
             out.append(" " * (j - i))
             i = j
         elif c == "/" and i + 1 < n and text[i + 1] == "*":
@@ -105,8 +99,6 @@ def _blank_comments_strings(text: str):
             if m:
                 checks = {p.strip() for p in m.group(1).split(",") if p.strip()}
                 suppress.setdefault(line, set()).update(checks)
-            if UNIT_LINT_MARKER in block:
-                suppress.setdefault(line, set()).add("unit-boundary")
             for ch in block:
                 out.append(ch if ch == "\n" else " ")
                 if ch == "\n":
@@ -276,12 +268,11 @@ class TextFrontend:
         if "(" in words and "=" not in words[:words.index("(")]:
             return self._parse_function(tokens, i, pending, scopes, ir,
                                         has_body=True)
-        # Brace initializer at class scope: `Volts x{1.0};` — treat the brace
-        # group as part of a member declaration.
-        cls = self._enclosing_class(scopes)
+        # Brace initializer: `Volts x{1.0};` — treat the brace group as part
+        # of a member or variable declaration.
         end = _match_forward(tokens, i, "{", "}")
-        if cls is not None and "(" not in words:
-            self._record_member(pending, cls)
+        if "(" not in words:
+            self._record_declaration(pending, scopes, ir)
         return end
 
     def _open_class(self, tokens, i, pending, scopes, ir, kw):
@@ -326,12 +317,11 @@ class TextFrontend:
             # Function declaration (no body).
             self._parse_signature_only(pending, scopes, ir)
             return
-        cls = self._enclosing_class(scopes)
-        if cls is not None:
-            self._record_member(pending, cls)
+        self._record_declaration(pending, scopes, ir)
 
-    def _record_member(self, pending, cls):
-        """Member declaration: bind name -> type; record raw-double members."""
+    def _record_declaration(self, pending, scopes, ir):
+        """Member or namespace-scope variable declaration: record its type
+        tokens, and bind member name -> type for receiver typing."""
         words = [t for t, _ in pending]
         eq = words.index("=") if "=" in words else len(words)
         decl = pending[:eq]
@@ -341,6 +331,13 @@ class TextFrontend:
         if not re.match(r"[A-Za-z_]\w*$", name_tok):
             return
         type_tokens = tuple(t for t, _ in decl[:-1])
+        cls = self._enclosing_class(scopes)
+        if cls is None:
+            scope = "::".join(self._namespace_path(scopes)) or "::"
+            ir.variables.append(VariableInfo(scope=scope,
+                                             type_tokens=type_tokens,
+                                             name=name_tok, line=line))
+            return
         cls.members.append(MemberInfo(type_tokens=type_tokens, name=name_tok,
                                       line=line))
         tname = type_name_from_tokens(type_tokens)

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "microbench.hpp"
 
 #include "common/error.hpp"
@@ -159,7 +160,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--corners") {
       corners_arg = next("--corners");
     } else if (arg == "--nodes") {
-      override_nodes = std::atoi(next("--nodes"));
+      override_nodes = cli::parse_flag("policy_tournament", "--nodes",
+                                       next("--nodes"), 1, "an integer >= 1");
     } else if (arg == "--serial") {
       serial = true;
     } else if (arg == "--out") {
