@@ -107,7 +107,7 @@ void bench_optimizers(microbench::Suite& suite, bench::ScRig& rig,
 }
 
 void bench_soc_run(microbench::Suite& suite, double simulated_seconds,
-                   bool quick) {
+                   double min_seconds, bool quick) {
   const std::string tag =
       std::to_string(static_cast<int>(simulated_seconds * 1e3)) + "ms";
   // One dense-reference transient run is seconds of wall time, so the batch is
@@ -144,13 +144,16 @@ void bench_soc_run(microbench::Suite& suite, double simulated_seconds,
              std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - cold_start)
                  .count());
+  // A fast-path run is well under a millisecond under --quick, so it batches
+  // iterations up to the bench's min_seconds like the other kernels: one
+  // iteration per repeat would let a single slow call swing the speedup.
   const auto fast = suite.run(
       "soc_run_fast_" + tag,
       [&] {
         microbench::keep(fast_soc.run(IrradianceTrace::constant(1.0), fast_ctrl,
                                       Seconds(simulated_seconds)));
       },
-      /*min_seconds=*/0.0, /*max_iters=*/1, /*min_repeats=*/quick ? 5 : 9);
+      min_seconds, /*max_iters=*/1 << 22, /*min_repeats=*/quick ? 5 : 9);
   suite.note("soc_fast_speedup", ref.ns_per_iter / fast.ns_per_iter);
 }
 
@@ -208,7 +211,7 @@ int main(int argc, char** argv) {
   bench_mpp(suite, rig, surfaces, min_seconds);
   bench_light_sweep(suite, rig, surfaces, min_seconds);
   bench_optimizers(suite, rig, surfaces, min_seconds);
-  bench_soc_run(suite, sim_seconds, quick);
+  bench_soc_run(suite, sim_seconds, min_seconds, quick);
   bench_parallel_sweep(suite, rig, surfaces, min_seconds);
 
   suite.print();

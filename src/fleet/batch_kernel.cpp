@@ -319,7 +319,7 @@ ControllerInputs BatchFleetKernel::controller_inputs(int index) const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-node lane: the node's registry-built controller driving the shared
+// Per-node runner: the node's registry-built controller driving the shared
 // flat::NodeStepper, integrated to completion one node at a time.
 // ---------------------------------------------------------------------------
 
@@ -340,9 +340,6 @@ struct NodeRunner {
   flat::NodeStepper st;
   SocState state{};
   SocCommand cmd{};
-  SocStepHint hint{};
-  double g0 = 0.0;  ///< irradiance at the present step's start
-  double mppt_num = 0.0, mppt_den = 0.0;
 
   // --- solar-node comparator bank (traced mode only)
   std::optional<ComparatorBank> bank{};
@@ -394,179 +391,55 @@ struct NodeRunner {
     }
   }
 
-  // ---------------------------------------------------------------------
-  // Main loop: the stepper's prologue/epilogue split, so a lane driver can
-  // batch the solar solve across nodes via flat::integrate_solar_lane.
-  // ---------------------------------------------------------------------
-
-  /// Controller + load gate + hint + dt selection + integration pre-pass.
-  HEMP_HOT void step_prologue(flat::StepPlan& pl) {
-    g0 = st.control(*controller, state, cmd, hint);
-    st.prologue(cmd, hint, g0, pl);
-  }
-
-  /// Stepper epilogue + the MPPT tracking error, dt-weighted (the reference
-  /// averages uniform waveform samples under the same predicate).
-  HEMP_HOT void step_epilogue(const flat::StepPlan& pl, double p_avg) {
-    st.epilogue(cmd, pl, p_avg);
-    st.observe(state);
-    if (events != nullptr) record_bank_edges();
-    if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
-      const double g_q = std::round(g0 * 100.0) / 100.0;
-      if (g_q >= 0.05) {
-        const double vmpp = sh.mpp.vmpp_at(s.pv_scale, g_q);
-        if (vmpp > 0.0) {
-          mppt_num += pl.dt * std::fabs(st.v_s - vmpp) / vmpp;
-          mppt_den += pl.dt;
+  /// Integrate the node's day, one stepper step at a time, accumulating the
+  /// MPPT tracking error dt-weighted (the reference averages uniform
+  /// waveform samples under the same predicate).
+  HEMP_HOT NodeResult run() {
+    SocStepHint hint;
+    double mppt_num = 0.0, mppt_den = 0.0;
+    while (!st.done()) {
+      const double g0 = st.control(*controller, state, cmd, hint);
+      const double dt = st.step(cmd, hint, g0);
+      st.observe(state);
+      if (events != nullptr) record_bank_edges();
+      if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
+        const double g_q = std::round(g0 * 100.0) / 100.0;
+        if (g_q >= 0.05) {
+          const double vmpp = sh.mpp.vmpp_at(s.pv_scale, g_q);
+          if (vmpp > 0.0) {
+            mppt_num += dt * std::fabs(st.v_s - vmpp) / vmpp;
+            mppt_den += dt;
+          }
         }
       }
     }
-  }
-
-  /// Day-end flush: step accounting and the result build.
-  NodeResult finish() const {
     st.flush_step_counts();
     return node_result(s, st.totals(), controller->job_stats(),
                        mppt_den > 0.0 ? mppt_num / mppt_den : 0.0);
   }
-
-  /// Scalar driver: the reference arrangement of the split step, used by
-  /// run_node() / traced runs and as the bit-identity baseline for the lane
-  /// driver below.
-  HEMP_HOT NodeResult run() {
-    flat::StepPlan pl;
-    while (!st.done()) {
-      step_prologue(pl);
-      step_epilogue(pl, st.solve(pl));
-    }
-    return finish();
-  }
 };
-
-/// Lane driver: advances up to flat::kSolarLaneWidth node runners
-/// concurrently so their solar-node Newton solves share one vectorizable
-/// flat::integrate_solar_lane call per round.  Nodes advance at independent
-/// times — there is nothing to synchronize; grouping is by concurrent
-/// stepping, not trace identity — and a slot whose day completes is refilled
-/// with the next pending node, so short-lived lanes never idle the loop.
-/// Steps the lane cannot express (the conducting-bypass merged solve)
-/// integrate scalar inside the prologue and simply skip the gather.  Lane
-/// elements converge and freeze independently inside integrate_solar_lane,
-/// so every node executes exactly the scalar step sequence and the results
-/// written to `out` are bit-identical to run_node() per node.
-void run_nodes_laned(const BatchFleetKernel::Shared& sh, int lo, int hi,
-                     NodeResult* out) {
-  constexpr int kW = flat::kSolarLaneWidth;
-  std::array<std::optional<NodeRunner>, kW> slot;
-  std::array<int, kW> node_of{};
-  std::array<flat::StepPlan, kW> plan{};
-  int next = lo;
-  int active = 0;
-
-  const auto fill = [&](int w) {
-    auto& r = slot[static_cast<std::size_t>(w)];
-    r.emplace(sh, static_cast<std::size_t>(next));
-    node_of[static_cast<std::size_t>(w)] = next++;
-    ++active;
-  };
-  for (int w = 0; w < kW && next < hi; ++w) fill(w);
-
-  // Gather buffers for the lane call (element order = ascending slot).
-  std::array<flat::IvSurface::Bound, kW> iv_g{};
-  std::array<double, kW> c_g{}, v_g{}, dt_g{}, gm_g{}, pin_g{}, pavg_g{};
-
-  while (active > 0) {
-    int n_lane = 0;
-    for (int w = 0; w < kW; ++w) {
-      auto& r = slot[static_cast<std::size_t>(w)];
-      if (!r) continue;
-      auto& pl = plan[static_cast<std::size_t>(w)];
-      r->step_prologue(pl);
-      if (pl.solar_solve) {
-        const auto e = static_cast<std::size_t>(n_lane);
-        iv_g[e] = r->st.iv;
-        c_g[e] = r->st.c_solar;
-        v_g[e] = r->st.v_s;
-        dt_g[e] = pl.dt;
-        gm_g[e] = pl.g_mid;
-        pin_g[e] = pl.p_in;
-        ++n_lane;
-      }
-    }
-    if (n_lane > 0) {
-      flat::integrate_solar_lane(iv_g.data(), c_g.data(), v_g.data(),
-                                 dt_g.data(), gm_g.data(), pin_g.data(),
-                                 pavg_g.data(), n_lane);
-    }
-    int e = 0;
-    for (int w = 0; w < kW; ++w) {
-      auto& r = slot[static_cast<std::size_t>(w)];
-      if (!r) continue;
-      const auto& pl = plan[static_cast<std::size_t>(w)];
-      double p_avg = 0.0;
-      if (pl.solar_solve) {
-        const auto ei = static_cast<std::size_t>(e);
-        r->st.v_s = v_g[ei];
-        p_avg = pavg_g[ei];
-        ++e;
-      }
-      r->step_epilogue(pl, p_avg);
-      if (r->st.done()) {
-        out[node_of[static_cast<std::size_t>(w)]] = r->finish();
-        r.reset();
-        --active;
-        if (next < hi) fill(w);
-      }
-    }
-  }
-}
 
 }  // namespace
 
 NodeResult BatchFleetKernel::run_node(int index) const {
   HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
-  NodeRunner lane(*shared_, static_cast<std::size_t>(index));
-  return lane.run();
+  return NodeRunner(*shared_, static_cast<std::size_t>(index)).run();
 }
 
 NodeResult BatchFleetKernel::run_node_traced(
     int index, std::vector<BatchComparatorEvent>& events) const {
   HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
-  NodeRunner lane(*shared_, static_cast<std::size_t>(index), &events);
-  return lane.run();
+  return NodeRunner(*shared_, static_cast<std::size_t>(index), &events).run();
 }
 
 FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
   const Shared& sh = *shared_;
-  const int n = sh.scenario.nodes;
-  std::vector<NodeResult> results(static_cast<std::size_t>(n));
-  const int block = std::max(1, opts.block_size);
-  if (!opts.parallel || n <= block) {
-    if (opts.simd_lanes) {
-      run_nodes_laned(sh, 0, n, results.data());
-    } else {
-      for (int i = 0; i < n; ++i) {
-        results[static_cast<std::size_t>(i)] = run_node(i);
-      }
-    }
-  } else {
-    const std::size_t blocks =
-        (static_cast<std::size_t>(n) + static_cast<std::size_t>(block) - 1) /
-        static_cast<std::size_t>(block);
-    parallel_for(*shard_pool(opts), blocks, [&](std::size_t b) {
-      const int lo = static_cast<int>(b) * block;
-      const int hi = std::min(lo + block, n);
-      if (opts.simd_lanes) {
-        run_nodes_laned(sh, lo, hi, results.data());
-      } else {
-        for (int i = lo; i < hi; ++i) {
-          results[static_cast<std::size_t>(i)] = run_node(i);
-        }
-      }
-    });
-  }
+  std::vector<NodeResult> results(static_cast<std::size_t>(sh.scenario.nodes));
+  for_each_index(shard_pool(opts), results.size(), [&](std::size_t i) {
+    results[i] = NodeRunner(sh, i).run();
+  });
   return aggregate(sh.scenario, std::move(results));
 }
 

@@ -46,14 +46,8 @@ struct BatchKernelOptions {
   /// false runs the same bodies in the serial loop (results are
   /// bit-identical either way).
   bool parallel = true;
-  /// Nodes per work item when sharding onto the pool.
-  int block_size = 16;
-  /// Advance up to flat::kSolarLaneWidth nodes concurrently so their
-  /// per-step solar Newton solves share one vectorizable lane call
-  /// (flat::integrate_solar_lane).  Lane elements converge and freeze
-  /// independently, so every node sees exactly the scalar step sequence:
-  /// results are bit-identical with the flag on or off (asserted in
-  /// tests/fleet/batch_kernel_test.cpp) and this is a pure throughput knob.
+  /// Inert: nothing reads it.  Nodes always step one at a time; the field
+  /// stays only because the repository benchmark still assigns it.
   bool simd_lanes = true;
 };
 
@@ -88,8 +82,10 @@ class BatchFleetKernel {
   BatchFleetKernel(const BatchFleetKernel&) = delete;
   BatchFleetKernel& operator=(const BatchFleetKernel&) = delete;
 
-  /// Simulate every node and aggregate.  Deterministic: serial and parallel
-  /// runs return bit-identical reports (same summary_hash).
+  /// Simulate every node and aggregate: one run_node() per node, sharded
+  /// over `opts`' pool node by node (the constructor's pool rule), then
+  /// aggregate().  Deterministic: serial and parallel runs return
+  /// bit-identical reports (same summary_hash).
   [[nodiscard]] FleetReport run(const BatchKernelOptions& opts = {}) const;
 
   /// Simulate a single node (pure function of the scenario and index).

@@ -53,7 +53,6 @@ struct FastEngine {
   double next_sample = 0.0;
 
   HEMP_HOT SimResult loop() {
-    flat::StepPlan pl;
     SocStepHint hint;
     while (!st.done()) {
       const double t = st.t;
@@ -62,8 +61,7 @@ struct FastEngine {
       // cadence: a record fires this iteration when next_sample is already
       // due, so the step must not overshoot the sample after it.
       hint.deadline(next_sample > t ? next_sample : t + interval);
-      st.prologue(cmd, hint, g0, pl);
-      st.epilogue(cmd, pl, st.solve(pl));
+      st.step(cmd, hint, g0);
       st.observe(state);
 
       // --- Comparator edges, decimated waveform. ---------------------------

@@ -450,54 +450,6 @@ double integrate_solar(const IvSurface::Bound& iv, double c_solar, double& v_s,
   return vm * i;
 }
 
-void integrate_solar_lane(const IvSurface::Bound* iv, const double* c_solar,
-                          double* v_s, const double* dt, const double* g_mid,
-                          const double* p_in, double* p_avg, int n) {
-  // Mirrors integrate_solar op for op: each element runs the same safeguarded
-  // implicit-midpoint Newton, but instead of breaking out on convergence it
-  // freezes (stops updating) while the rest of the lane finishes.  A frozen
-  // element's state never changes again, so the per-element results are
-  // bit-identical to n scalar calls — lane batching is a pure layout change.
-  double v0[kSolarLaneWidth], v1[kSolarLaneWidth], vm[kSolarLaneWidth];
-  double cur[kSolarLaneWidth];
-  bool done[kSolarLaneWidth];
-  IvSurface::Bound::RowCursor rc[kSolarLaneWidth];
-  for (int j = 0; j < n; ++j) {
-    v0[j] = v_s[j];
-    v1[j] = v0[j];
-    vm[j] = v0[j];
-    cur[j] = 0.0;
-    done[j] = false;
-    rc[j] = iv[j].bind_row(g_mid[j]);
-  }
-  for (int iter = 0; iter < 40; ++iter) {
-    bool any = false;
-    for (int j = 0; j < n; ++j) any = any || !done[j];
-    if (!any) break;
-    for (int j = 0; j < n; ++j) {
-      if (done[j]) continue;
-      double m = 0.5 * (v0[j] + v1[j]);
-      if (m < 0.0) m = 0.0;
-      vm[j] = m;
-      double didv = 0.0;
-      const double i = iv[j].cell_i_row(m, rc[j], &didv);
-      cur[j] = i;
-      const double F = 0.5 * c_solar[j] * (v1[j] * v1[j] - v0[j] * v0[j]) -
-                       dt[j] * (m * i - p_in[j]);
-      double dF = c_solar[j] * v1[j] - dt[j] * 0.5 * (i + m * didv);
-      if (dF < 1e-12) dF = 1e-12;
-      const double step = F / dF;
-      v1[j] -= step;
-      if (std::fabs(step) < 1e-10) done[j] = true;
-    }
-  }
-  for (int j = 0; j < n; ++j) {
-    if (v1[j] < 0.0) v1[j] = 0.0;
-    v_s[j] = v1[j];
-    p_avg[j] = vm[j] * cur[j];
-  }
-}
-
 BypassStepResult integrate_bypass_merged(const IvSurface::Bound& iv,
                                          double c_solar, double c_vdd,
                                          double r_on, double& v_s, double& v_d,

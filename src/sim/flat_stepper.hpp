@@ -11,14 +11,9 @@
 //                                  SocState refresh, on_tick, the load gate
 //                                  (vmin latch, f_max clamp, timing faults)
 //                                  and the controller's step hint
-//   st.prologue(cmd, hint, g0, pl) step length + integration pre-pass
-//   p_avg = st.solve(pl);          solar-node Newton solve (or a lane call)
-//   st.epilogue(cmd, pl, p_avg);   rail update, totals, time advance
+//   dt = st.step(cmd, hint, g0);   step length, integration, totals, time
+//                                  advance
 //   st.observe(state);             post-step state the controller sees next
-//
-// The prologue/epilogue split exists so the batch kernel's lane driver can
-// gather the solar solves of several nodes into one
-// flat::integrate_solar_lane call; a scalar engine calls solve() in between.
 //
 // Step length.  A step jumps to the earliest timed event — the hint's
 // deadline, the next trace knot — tightened by
@@ -91,15 +86,6 @@ inline constexpr double kCompHalfHyst = 0.5 * kComparatorHysteresis.value();
 /// RC tick exactly through this regime and hands over to the merged form once
 /// inside the band.
 inline constexpr double kBypassMergeBand = 0.02;
-
-/// What the prologue leaves for the solar solve and the epilogue.
-struct StepPlan {
-  double dt = 0.0;
-  double g_mid = 0.0;        ///< irradiance at the step midpoint
-  bool solar_solve = false;  ///< step needs an integrate_solar solve
-  double p_in = 0.0;         ///< regulator source-side draw for the solve
-  double p_out = 0.0;        ///< regulator output power for the rail update
-};
 
 struct NodeStepper {
   // --- Wiring (set once per run).
@@ -181,8 +167,7 @@ struct NodeStepper {
 
   /// Step start: refresh the controller's view of the node, run on_tick,
   /// gate the load, and collect the controller's step hint into `hint`
-  /// (reset first).  Returns irradiance() at the step start (the prologue's
-  /// g0).
+  /// (reset first).  Returns irradiance() at the step start (step()'s g0).
   HEMP_HOT double control(SocController& ctl, SocState& state, SocCommand& cmd,
                           SocStepHint& hint) {
     const double g0 = irradiance();
@@ -254,31 +239,21 @@ struct NodeStepper {
     was_running = can_run;
   }
 
-  /// Step length plus everything of the integration except the solar-node
-  /// Newton solve.  `g0` is irradiance() at the step start.
-  HEMP_HOT void prologue(const SocCommand& cmd, const SocStepHint& hint,
-                         double g0, StepPlan& pl) {
+  /// One step: its length, the integration of both nodes, the per-step
+  /// totals and the time advance.  `g0` is irradiance() at the step start
+  /// (control()'s return).  Returns the step's dt.
+  HEMP_HOT double step(const SocCommand& cmd, const SocStepHint& hint,
+                       double g0) {
     sc_ok = sc_supports(*sc, v_s, cmd.vdd_target.value());
     step_cause = solver_stats::StepCause::kDeadline;
+    StepPlan pl;
     pl.dt = hint.event_driven ? choose_dt(cmd, hint, g0) : dt_ref;
     ++step_counts[static_cast<std::size_t>(step_cause)];
     pl.g_mid = trace->at(t + 0.5 * pl.dt, cur);
     integrate_pre(cmd, pl);
-  }
-
-  /// The scalar solar-node solve between prologue and epilogue; returns the
-  /// average harvested power (0 when the prologue integrated the step).
-  HEMP_HOT double solve(const StepPlan& pl) {
-    if (!pl.solar_solve) return 0.0;
-    return integrate_solar(iv, c_solar, v_s, pl.dt, pl.g_mid, pl.p_in);
-  }
-
-  /// Rail update, per-step totals and time advance.  `p_avg` is the solar
-  /// solve's average harvested power (ignored when the prologue already
-  /// integrated the step).
-  HEMP_HOT void epilogue(const SocCommand& cmd, const StepPlan& pl,
-                         double p_avg) {
     if (pl.solar_solve) {
+      const double p_avg =
+          integrate_solar(iv, c_solar, v_s, pl.dt, pl.g_mid, pl.p_in);
       harvested += pl.dt * p_avg;
       reg_loss += (pl.p_in - pl.p_out) * pl.dt;
       double e_d = 0.5 * c_vdd * v_d * v_d + (pl.p_out - p_load) * pl.dt;
@@ -292,6 +267,7 @@ struct NodeStepper {
       halted += pl.dt;
     }
     t += pl.dt;
+    return pl.dt;
   }
 
   /// Flush the per-cause step counts to solver_stats (once per run).
@@ -320,6 +296,16 @@ struct NodeStepper {
   // ---------------------------------------------------------------------
   // Internals.
   // ---------------------------------------------------------------------
+
+ private:
+  /// What integrate_pre leaves for the solar solve and the rail update.
+  struct StepPlan {
+    double dt = 0.0;
+    double g_mid = 0.0;        ///< irradiance at the step midpoint
+    bool solar_solve = false;  ///< step needs an integrate_solar solve
+    double p_in = 0.0;         ///< regulator source-side draw for the solve
+    double p_out = 0.0;        ///< regulator output power for the rail update
+  };
 
   /// (vdd + margin) / ratio boundary levels, recomputed only when the
   /// commanded rail moves.

@@ -119,36 +119,55 @@ TEST(BatchFleetKernel, ParallelBitIdenticalToSerial) {
   const BatchFleetKernel kernel(quick_scenario());
   const FleetReport serial = kernel.run({.parallel = false});
   const FleetReport parallel = kernel.run({.parallel = true});
-  const FleetReport small_blocks =
-      kernel.run({.parallel = true, .block_size = 1});
   EXPECT_EQ(serial.summary_hash, parallel.summary_hash);
-  EXPECT_EQ(serial.summary_hash, small_blocks.summary_hash);
   EXPECT_EQ(serial.total_cycles, parallel.total_cycles);
 }
 
-TEST(BatchFleetKernel, SimdLanesBitIdenticalToScalar) {
-  // The lane driver interleaves up to kSolarLaneWidth nodes so their solar
-  // Newton solves share one lane call, but each node must still see exactly
-  // the scalar step sequence.  Exercise a trace with per-node phase jitter so
-  // lanes hold nodes at genuinely different step cadences.
+TEST(BatchFleetKernel, RunEqualsAggregateOfRunNodeOnEveryPool) {
+  // run() is one run_node per node, sharded node by node, then aggregate().
+  // A ragged fleet (19 nodes: no multiple of any pool size) on a per-node
+  // cloudy sky, so nodes step at genuinely different cadences, must give
+  // exactly the serial run_node loop's results on any pool.
   FleetScenario s = quick_scenario();
-  s.nodes = 19;  // not a multiple of the lane width: exercises ragged refill
+  s.nodes = 19;
   s.trace_kind = TraceKind::kClouds;
   const BatchFleetKernel kernel(s);
-  const FleetReport scalar =
-      kernel.run({.parallel = false, .simd_lanes = false});
-  const FleetReport laned = kernel.run({.parallel = false, .simd_lanes = true});
-  const FleetReport laned_par =
-      kernel.run({.parallel = true, .block_size = 3, .simd_lanes = true});
-  EXPECT_EQ(scalar.summary_hash, laned.summary_hash);
-  EXPECT_EQ(scalar.summary_hash, laned_par.summary_hash);
-  ASSERT_EQ(scalar.node_results.size(), laned.node_results.size());
-  for (std::size_t i = 0; i < scalar.node_results.size(); ++i) {
-    EXPECT_EQ(scalar.node_results[i].cycles, laned.node_results[i].cycles);
-    EXPECT_EQ(scalar.node_results[i].harvested.value(),
-              laned.node_results[i].harvested.value());
-    EXPECT_EQ(scalar.node_results[i].delivered.value(),
-              laned.node_results[i].delivered.value());
+  std::vector<NodeResult> loop;
+  for (int i = 0; i < s.nodes; ++i) loop.push_back(kernel.run_node(i));
+  const FleetReport expected = aggregate(s, std::move(loop));
+
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const std::map<std::string, BatchKernelOptions> runs = {
+      {"serial", {.parallel = false}},
+      {"shared pool", {.parallel = true}},
+      {"1-thread pool", {.pool = &one}},
+      {"4-thread pool", {.pool = &four}},
+  };
+  for (const auto& [name, opts] : runs) {
+    SCOPED_TRACE(name);
+    const FleetReport got = kernel.run(opts);
+    EXPECT_EQ(got.summary_hash, expected.summary_hash);
+    EXPECT_EQ(got.total_cycles, expected.total_cycles);
+    ASSERT_EQ(got.node_results.size(), expected.node_results.size());
+    for (std::size_t i = 0; i < got.node_results.size(); ++i) {
+      SCOPED_TRACE("node " + std::to_string(i));
+      const NodeResult& a = got.node_results[i];
+      const NodeResult& b = expected.node_results[i];
+      EXPECT_EQ(a.sample.index, b.sample.index);
+      EXPECT_EQ(a.cycles, b.cycles);
+      EXPECT_EQ(a.brownouts, b.brownouts);
+      EXPECT_EQ(a.timing_faults, b.timing_faults);
+      EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
+      EXPECT_EQ(a.jobs_completed, b.jobs_completed);
+      EXPECT_EQ(a.jobs_missed, b.jobs_missed);
+      EXPECT_EQ(a.deadline_hit_rate, b.deadline_hit_rate);
+      EXPECT_EQ(a.mppt_error, b.mppt_error);
+      EXPECT_EQ(a.harvested.value(), b.harvested.value());
+      EXPECT_EQ(a.delivered.value(), b.delivered.value());
+      EXPECT_EQ(a.halted.value(), b.halted.value());
+      EXPECT_EQ(a.energy_per_job.value(), b.energy_per_job.value());
+    }
   }
 }
 
@@ -272,7 +291,7 @@ TEST(BatchFleetKernel, BuildsAndRunsInsideATaskOfItsOwnPool) {
   std::vector<std::uint64_t> hashes(2, 0);
   parallel_for(pool, hashes.size(), [&](std::size_t i) {
     const BatchFleetKernel kernel(quick_scenario(), {.pool = &pool});
-    hashes[i] = kernel.run({.pool = &pool, .block_size = 2}).summary_hash;
+    hashes[i] = kernel.run({.pool = &pool}).summary_hash;
   });
   for (const std::uint64_t h : hashes) EXPECT_EQ(h, expected);
 }

@@ -147,11 +147,8 @@ struct Rig {
   }
 
   double step() {
-    flat::StepPlan pl;
     st.gate(cmd);
-    st.prologue(cmd, hint, st.irradiance(), pl);
-    st.epilogue(cmd, pl, st.solve(pl));
-    return pl.dt;
+    return st.step(cmd, hint, st.irradiance());
   }
 };
 

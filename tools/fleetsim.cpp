@@ -176,11 +176,14 @@ int main(int argc, char** argv) {
       std::printf("policy:        %s (forced on every node)\n",
                   scenario.policy.c_str());
     }
-    std::printf("execution:     %s, %u pool thread(s), %.3f s wall = "
+    // A parallel run uses the shared pool's workers plus the calling thread.
+    // A serial run never touches the pool, so it must not create the shared
+    // one just to report its size.
+    const unsigned threads = serial ? 1u : ThreadPool::shared().size() + 1u;
+    std::printf("execution:     %s, %u thread(s), %.3f s wall = "
                 "%.3f s construct + %.3f s run (%.1f nodes/s)\n",
-                serial ? "serial" : "parallel", ThreadPool::shared().size(),
-                wall_s, construct_s, wall_s - construct_s,
-                report.nodes / wall_s);
+                serial ? "serial" : "parallel", threads, wall_s, construct_s,
+                wall_s - construct_s, report.nodes / wall_s);
     std::printf("\ntotals:\n");
     std::printf("  cycles         %.6e\n", report.total_cycles);
     std::printf("  harvested      %.6g J\n", report.total_harvested.value());

@@ -334,6 +334,12 @@ def check_determinism(file_irs) -> list[Finding]:
                     base = t.split("::")[-1]
                     if base in UNORDERED_TOKENS | NONDET_TOKENS:
                         add(ir, cls.qualname, m.line, "member-type", base)
+        for v in ir.variables:
+            where = v.name if v.scope == "::" else f"{v.scope}::{v.name}"
+            for t in v.type_tokens:
+                base = t.split("::")[-1]
+                if base in UNORDERED_TOKENS | NONDET_TOKENS:
+                    add(ir, where, v.line, "variable-type", base)
     findings.sort(key=lambda f: (f.file, f.line, f.key))
     return findings
 

@@ -1,6 +1,7 @@
 // hemp_analyzer fixture: one injected violation per determinism source
 // class — libc rand/time, <random> engines, wall clocks, and unordered
-// containers (locals and members).
+// containers (locals and members) — plus namespace-scope variables of a
+// nondeterministic type.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -30,6 +31,11 @@ unsigned entropy() {
 struct Cache {
   std::unordered_map<int, double> items;
 };
+
+std::unordered_map<int, int> g_cache;
+static std::mt19937 g_gen;
+
+int cached(int key) { return g_cache[key] + static_cast<int>(g_gen()); }
 
 int lookup_count(int key) {
   std::unordered_map<int, int> counts;

@@ -5,7 +5,7 @@ Asserts:
   * every violation class in fixtures/ is detected with its expected
     stable key — exact-solver/alloc/mutex/io/throw hot-path sinks (direct,
     transitive, and through virtual dispatch), every determinism source
-    class, raw-double unit-boundary signatures in a .cpp file, and raw-double
+    class (namespace-scope variables included), raw-double unit-boundary signatures in a .cpp file, and raw-double
     members and namespace-scope variables in a header;
   * cold code and the clean fixture produce ZERO findings;
   * inline `hemp-analyzer: allow(...)` markers fully silence real
@@ -44,6 +44,8 @@ DET_EXPECT = {
     "determinism|fixture::entropy|token|random_device",
     "determinism|fixture::Cache|member-type|unordered_map",
     "determinism|fixture::lookup_count|token|unordered_map",
+    "determinism|fixture::g_cache|variable-type|unordered_map",
+    "determinism|fixture::g_gen|variable-type|mt19937",
 }
 
 UNIT_EXPECT = {
