@@ -303,7 +303,8 @@ void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
         tracker_.step_hint(state, hint);
       }
       // Bypass mode rides the shared node; the engine's own physics bounds
-      // (dt cap, comparator levels) limit how stale max_frequency(v_dd) gets.
+      // (dt cap, rail-swing cap, vmin/vmax levels) limit how stale
+      // max_frequency(v_dd) gets.
       break;
     case State::kSprinting: {
       const ActiveSprint& s = *sprint_;
@@ -354,12 +355,6 @@ void PeriodicJobController::on_tick(const SocState& state, SocCommand& cmd) {
     next_submit_ += period_;
   }
   manager_->on_tick(state, cmd);
-}
-
-void PeriodicJobController::on_comparator(const ComparatorEvent& event,
-                                          const SocState& state,
-                                          SocCommand& cmd) {
-  manager_->on_comparator(event, state, cmd);
 }
 
 void PeriodicJobController::step_hint(const SocState& state, SocStepHint& hint) const {

@@ -186,8 +186,6 @@ class PeriodicJobController : public SocController {
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
-  void on_comparator(const ComparatorEvent& event, const SocState& state,
-                     SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] int jobs_submitted() const { return jobs_submitted_; }

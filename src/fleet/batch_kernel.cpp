@@ -25,6 +25,7 @@
 #include "sim/flat_model.hpp"
 #include "sim/flat_stepper.hpp"
 #include "sim/soc_system.hpp"
+#include "sim/sweep.hpp"
 
 namespace hemp {
 
@@ -53,24 +54,13 @@ constexpr int kCrossSKnots = 7;
 constexpr double kCrossTempSigmas = 4.0;
 
 // Terminal-current surface i(v, g): the stepped loop's only cell-model
-// evaluation (bilinear in (v, g), scale-blended across two pv-scale slices).
-// 1.7 V covers the largest open-circuit voltage any sampled cell reaches;
-// the v pitch (~11 mV) keeps the bilinear error on the diode knee (curvature
-// scale n*Vt ~ 116 mV) well under a percent.
-constexpr int kIvVKnots = 160;
+// evaluation (bilinear in (v, g), scale-blended across two pv-scale slices),
+// at flat::kIvVKnots x flat::kIvGKnots.  1.7 V covers the largest
+// open-circuit voltage any sampled cell reaches.
 constexpr double kIvVMax = 1.7;
-constexpr int kIvGKnots = 64;
 
 // Every fleet node shares the default switched-cap regulator.
 const flat::FlatSc kScFlat = flat::make_flat_sc(SwitchedCapParams{});
-
-std::vector<double> linspace(double lo, double hi, int n) {
-  std::vector<double> xs(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    xs[static_cast<std::size_t>(i)] = lo + (hi - lo) * i / (n - 1);
-  }
-  return xs;
-}
 
 /// Degenerate sampled ranges (pv_scale_min == pv_scale_max) still need two
 /// distinct grid knots.
@@ -251,8 +241,8 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
         break;
       case 1:
         sh.iv = flat::build_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
-                                       PvCellParams{}, kIvVMax, kIvVKnots,
-                                       kSurfaceGMax, kIvGKnots, pool);
+                                       PvCellParams{}, kIvVMax, flat::kIvVKnots,
+                                       kSurfaceGMax, flat::kIvGKnots, pool);
         break;
       default:
         sh.mpp = flat::build_mpp_surface(PvCellParams{}, s_lo, s_hi,
@@ -326,7 +316,6 @@ namespace {
 struct NodeRunner {
   const BatchFleetKernel::Shared& sh;
   const NodeSample& s;
-  std::vector<BatchComparatorEvent>* events;  ///< traced mode, else null
 
   // The node's hardware, its exact model (the controller's view of it), the
   // surface-derived inputs that spare it every exact solve, and the
@@ -341,15 +330,9 @@ struct NodeRunner {
   SocState state{};
   SocCommand cmd{};
 
-  // --- solar-node comparator bank (traced mode only)
-  std::optional<ComparatorBank> bank{};
-  std::vector<ComparatorEvent> bank_edges{};
-
-  NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i,
-             std::vector<BatchComparatorEvent>* traced = nullptr)
+  NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i)
       : sh(shared),
         s(shared.samples[i]),
-        events(traced),
         cfg(node_soc_config(shared.scenario, s)),
         cell(cfg.pv),
         model(cell, shared.reg, *shared.processors[i]),
@@ -371,24 +354,7 @@ struct NodeRunner {
     st.r_on = cfg.bypass.on_resistance.value();
     st.v_s = cfg.solar_start_voltage.value();
     st.v_d = cfg.vdd_start_voltage.value();
-    if (events != nullptr) {
-      bank.emplace(cfg.comparator_thresholds);
-      bank->reset(Volts(st.v_s));
-      bank_edges.reserve(bank->size());
-      st.bank = &*bank;
-    }
     st.start(*controller, state, cmd);
-  }
-
-  void record_bank_edges() {
-    bank->update_into(Volts(st.v_s), Seconds(st.t), bank_edges);
-    const std::vector<Volts>& th = bank->thresholds();
-    for (const ComparatorEvent& e : bank_edges) {
-      const auto i = std::find(th.begin(), th.end(), e.threshold) - th.begin();
-      // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
-      events->push_back(
-          {static_cast<int>(i), e.edge == Edge::kRising, e.time});
-    }
   }
 
   /// Integrate the node's day, one stepper step at a time, accumulating the
@@ -401,7 +367,6 @@ struct NodeRunner {
       const double g0 = st.control(*controller, state, cmd, hint);
       const double dt = st.step(cmd, hint, g0);
       st.observe(state);
-      if (events != nullptr) record_bank_edges();
       if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
         const double g_q = std::round(g0 * 100.0) / 100.0;
         if (g_q >= 0.05) {
@@ -425,13 +390,6 @@ NodeResult BatchFleetKernel::run_node(int index) const {
   HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
   return NodeRunner(*shared_, static_cast<std::size_t>(index)).run();
-}
-
-NodeResult BatchFleetKernel::run_node_traced(
-    int index, std::vector<BatchComparatorEvent>& events) const {
-  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
-               "BatchFleetKernel: node index out of range");
-  return NodeRunner(*shared_, static_cast<std::size_t>(index), &events).run();
 }
 
 FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {

@@ -17,7 +17,7 @@
 //
 //   * Event-driven stepping: instead of a fixed tick, each node jumps to the
 //     earliest of its next controller deadline, irradiance-trace breakpoint,
-//     or predicted comparator/watch-level crossing, with an analytic RC bound
+//     or predicted crossing of a watched level, with an analytic RC bound
 //     dt <= C * dist_to_nearest_watch / i_max guaranteeing no crossing can
 //     occur strictly inside a step (see DESIGN.md).  Typical days integrate
 //     in a few hundred steps instead of ~50k ticks.
@@ -30,10 +30,8 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "common/thread_pool.hpp"
-#include "common/units.hpp"
 #include "core/controller_inputs.hpp"
 #include "fleet/report.hpp"
 #include "fleet/scenario.hpp"
@@ -49,13 +47,6 @@ struct BatchKernelOptions {
   /// Inert: nothing reads it.  Nodes always step one at a time; the field
   /// stays only because the repository benchmark still assigns it.
   bool simd_lanes = true;
-};
-
-/// One solar-node comparator edge recorded by the traced single-node runner.
-struct BatchComparatorEvent {
-  int comparator = 0;  ///< index into the scenario's descending threshold bank
-  bool rising = false;
-  Seconds time{0.0};
 };
 
 /// Event-driven batch simulator for a whole FleetScenario.
@@ -90,12 +81,6 @@ class BatchFleetKernel {
 
   /// Simulate a single node (pure function of the scenario and index).
   [[nodiscard]] NodeResult run_node(int index) const;
-
-  /// Simulate a single node while recording every comparator-bank edge on
-  /// the solar node (the reference SocSystem's observability), for the
-  /// no-skipped-crossing equivalence tests.
-  [[nodiscard]] NodeResult run_node_traced(
-      int index, std::vector<BatchComparatorEvent>& events) const;
 
   [[nodiscard]] const FleetScenario& scenario() const;
 

@@ -24,6 +24,13 @@ FleetSimulator::FleetSimulator(FleetScenario scenario)
   }
 }
 
+const char* FleetSimulator::engine() const {
+  // Every node gets the switched-cap regulator and SocConfig's audit default.
+  const bool fast = forced_policy_ != nullptr && forced_policy_->fast_path() &&
+                    !SocConfig{}.audit;
+  return fast ? "fast" : "dense";
+}
+
 namespace {
 
 /// Mean relative MPP-voltage error over the waveform samples where the node

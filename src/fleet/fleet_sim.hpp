@@ -44,6 +44,13 @@ class FleetSimulator {
 
   [[nodiscard]] const FleetScenario& scenario() const { return scenario_; }
 
+  /// The SocSystem engine run() steps the nodes on, by SocSystem::run's rule:
+  /// "fast" (the single-node fast path) when the forced policy opts into
+  /// SocConfig::fast_path and the auditor is off, "dense" (the reference
+  /// loop) otherwise.  The legacy mix's two modes never opt in.  An offline
+  /// policy (the DP oracle) runs no transient and reads "dense".
+  [[nodiscard]] const char* engine() const;
+
  private:
   [[nodiscard]] NodeResult run_node(int index,
                                     const IrradianceTrace* shared) const;

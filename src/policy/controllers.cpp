@@ -76,12 +76,6 @@ void ManagedPolicyController::on_tick(const SocState& state, SocCommand& cmd) {
   jobs_.on_tick(state, cmd);
 }
 
-void ManagedPolicyController::on_comparator(const ComparatorEvent& event,
-                                            const SocState& state,
-                                            SocCommand& cmd) {
-  jobs_.on_comparator(event, state, cmd);
-}
-
 void ManagedPolicyController::step_hint(const SocState& state,
                                         SocStepHint& hint) const {
   jobs_.step_hint(state, hint);

@@ -74,8 +74,6 @@ class ManagedPolicyController final : public PolicyController {
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
-  void on_comparator(const ComparatorEvent& event, const SocState& state,
-                     SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] PolicyJobStats job_stats() const override;

@@ -6,10 +6,10 @@
 // This engine instead drives the real SocController through the shared
 // flat::NodeStepper (sim/flat_stepper.hpp), which reads the precomputed
 // hemp::flat surfaces and advances in long closed-form steps bounded by the
-// controller's SocStepHint (deadlines and watch levels), the trace knots,
-// the comparator bank and the waveform decimation cadence.  Zero exact
-// solves run inside the stepped loop — the equivalence suite in tests/sim
-// asserts this via hemp::solver_stats.
+// controller's SocStepHint (deadlines and watch levels), the trace knots
+// and the waveform decimation cadence.  Zero exact solves run inside the
+// stepped loop — the equivalence suite in tests/sim asserts this via
+// hemp::solver_stats.
 #include <algorithm>
 #include <cstddef>
 #include <memory>
@@ -42,8 +42,6 @@ namespace {
 struct FastEngine {
   // Wiring (set once in run_fast).
   SocController* controller = nullptr;
-  ComparatorBank* comparators = nullptr;
-  std::vector<ComparatorEvent>* events = nullptr;
   Waveform* waveform = nullptr;
   double interval = 0.0;
 
@@ -64,11 +62,7 @@ struct FastEngine {
       st.step(cmd, hint, g0);
       st.observe(state);
 
-      // --- Comparator edges, decimated waveform. ---------------------------
-      comparators->update_into(Volts(st.v_s), Seconds(st.t), *events);
-      for (const ComparatorEvent& ev : *events) {
-        controller->on_comparator(ev, state, cmd);
-      }
+      // --- Decimated waveform. ----------------------------------------------
       if (t >= next_sample) {
         const double row[8] = {st.v_s,
                                st.v_d,
@@ -116,16 +110,12 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
     // peak irradiance plus margin, and the configured start voltage.
     const double v_max = std::max(1.15 * config_.pv.voc_full_sun.value(),
                                   config_.solar_start_voltage.value() + 0.1);
-    ctx->iv = flat::build_iv_surface({1.0}, config_.pv, v_max, /*v_knots=*/160,
-                                     g_need, /*g_knots=*/64);
+    ctx->iv = flat::build_iv_surface({1.0}, config_.pv, v_max, flat::kIvVKnots,
+                                     g_need, flat::kIvGKnots);
     ctx->g_max = g_need;
     fast_ctx_ = std::move(ctx);
   }
 
-  ComparatorBank comparators(config_.comparator_thresholds);
-  comparators.reset(config_.solar_start_voltage);
-  std::vector<ComparatorEvent> events;
-  events.reserve(comparators.size());
   Waveform waveform({"v_solar", "v_dd", "irradiance", "frequency_hz",
                      "p_harvest_w", "p_processor_w", "path", "cycles"});
   waveform.reserve_samples(
@@ -134,15 +124,12 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
 
   FastEngine e;
   e.controller = &controller;
-  e.comparators = &comparators;
-  e.events = &events;
   e.waveform = &waveform;
   e.interval = config_.waveform_interval.value();
   flat::NodeStepper& st = e.st;
   st.sc = &fast_ctx_->sc;
   st.pc = &fast_ctx_->pc;
   st.trace = &trace;
-  st.bank = &comparators;
   st.iv = fast_ctx_->iv.bind(1.0);
   st.t_end = t_end.value();
   st.dt_ref = config_.time_step.value();

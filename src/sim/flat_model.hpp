@@ -332,6 +332,13 @@ struct IvSurface {
   [[nodiscard]] Bound bind(double pv_scale) const;
 };
 
+/// The terminal-current surface resolution of both event-driven engines: the
+/// fast path and the batch kernel build every IvSurface on this grid.  Over
+/// the kernel's 1.7 V span the v pitch (~11 mV) keeps the bilinear error on
+/// the diode knee (curvature scale n*Vt ~ 116 mV) well under a percent.
+inline constexpr int kIvVKnots = 160;
+inline constexpr int kIvGKnots = 64;
+
 /// Sample the fast Newton solve over (v, g) for each pv-scale knot.  `base`
 /// supplies every cell parameter except the short-circuit current, which is
 /// scaled per knot.  `s_knots` must be uniformly spaced (or a single knot).

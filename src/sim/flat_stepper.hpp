@@ -23,8 +23,10 @@
 //     step inputs), so endpoint sampling can never miss a crossing; the bound
 //     keeps detection latency inside one comparator hysteresis band.  The
 //     stepper itself watches the regulator's ratio boundaries (eta and the
-//     supports envelope change across them), the processor's vmin/vmax, and
-//     the optional comparator bank; the hint adds the controller's levels;
+//     supports envelope change across them) and the processor's vmin/vmax;
+//     the hint adds the controller's levels (a controller that owns
+//     comparators registers their switching levels, th -/+ kCompHalfHyst by
+//     the latched output);
 //   * accuracy caps: kRunDtCap while the clock runs (f_eff and p_load are
 //     frozen over a step), and in bypass a cap on the rail swing per step;
 //   * the regulated-rail settle rule.  Outside its settle band, with the
@@ -92,9 +94,6 @@ struct NodeStepper {
   const FlatSc* sc = nullptr;
   const FlatProc* pc = nullptr;
   const FlatTrace* trace = nullptr;
-  /// Solar-node comparators whose edges must not be observed late (null:
-  /// none).  The engine updates the bank; the stepper only watches it.
-  const ComparatorBank* bank = nullptr;
   IvSurface::Bound iv{};
   double t_end = 0.0;
   double dt_ref = 0.0;  ///< reference tick: step quantum and event slack
@@ -396,13 +395,6 @@ struct NodeStepper {
     }
 
     WatchAccum ws, wd;
-    if (bank != nullptr) {
-      // Comparator levels, direction-resolved by the latched outputs.
-      for (std::size_t i = 0; i < bank->size(); ++i) {
-        const double th = bank->thresholds()[i].value();
-        ws.level(v_s, bank->output(i) ? th - kCompHalfHyst : th + kCompHalfHyst);
-      }
-    }
     for (std::size_t i = 0; i < hint.solar_watch_count; ++i) {
       ws.level(v_s, hint.solar_watch[i]);
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
@@ -26,7 +25,7 @@ void SocConfig::validate() const {
 
 SocSystem::SocSystem(SocConfig config, RegulatorPtr regulator, Processor processor)
     : config_(std::move(config)), regulator_(std::move(regulator)),
-      processor_(std::move(processor)), cell_(config_.pv), bypass_(config_.bypass) {
+      processor_(std::move(processor)), cell_(config_.pv) {
   config_.validate();
   HEMP_REQUIRE(regulator_ != nullptr, "SocSystem: null regulator");
 }
@@ -46,8 +45,6 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
 
   Capacitor solar_cap(config_.solar_capacitance, config_.solar_start_voltage);
   Capacitor vdd_cap(config_.vdd_capacitance, config_.vdd_start_voltage);
-  ComparatorBank comparators(config_.comparator_thresholds);
-  comparators.reset(solar_cap.voltage());
 
   Waveform waveform({"v_solar", "v_dd", "irradiance", "frequency_hz", "p_harvest_w",
                      "p_processor_w", "path", "cycles"});
@@ -67,9 +64,6 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
   const bool audit = config_.audit;
   bool was_running = false;
   double next_sample = 0.0;
-  std::vector<ComparatorEvent> comparator_events;
-  // hemp-analyzer: allow(hot-path-purity) — one-time setup, before the loop
-  comparator_events.reserve(comparators.size());
 
   for (double t = 0.0; t < t_end.value(); t += dt) {
     const Seconds now(t);
@@ -189,7 +183,7 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
       totals.audit_checks = auditor.checks_run();
     }
 
-    // --- Comparator bank on the solar node. ----------------------------------
+    // --- Post-transfer state the controller sees next. -----------------------
     state.v_solar = solar_cap.voltage();
     state.v_dd = vdd_cap.voltage();
     state.p_processor = p_load;
@@ -197,10 +191,6 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
     state.processor_running = can_run;
     state.regulator_ok = regulator_ok;
     state.cycles_retired = totals.cycles;
-    comparators.update_into(state.v_solar, now, comparator_events);
-    for (const ComparatorEvent& e : comparator_events) {
-      controller.on_comparator(e, state, cmd);
-    }
 
     // --- Waveform decimation. -------------------------------------------------
     if (t >= next_sample) {
@@ -236,7 +226,7 @@ void FixedPointController::on_start(const SocState& state, SocCommand& cmd) {
 void FixedPointController::step_hint(const SocState& state, SocStepHint& hint) const {
   (void)state;
   // The command never changes: the engine's own physics bounds (trace knots,
-  // comparator levels, rail settling) are the only step limits.
+  // regulator and processor levels, rail settling) are the only step limits.
   hint.event_driven = true;
 }
 

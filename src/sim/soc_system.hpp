@@ -2,21 +2,22 @@
 //
 // Topology (paper Fig. 1 / Sec. VII):
 //
-//   PV cell --> solar node (storage cap, comparator bank)
+//   PV cell --> solar node (storage cap)
 //                  |--- on-chip regulator ---> Vdd node (rail cap) --> uP
 //                  '--- bypass switch     ---'
 //
 // Fixed-timestep integration of both capacitor nodes.  A SocController (the
 // energy manager, or a simple fixed-point policy) observes the state each
-// tick — plus comparator edges, exactly the observability the real chip has —
-// and commands the power path, the regulator's Vdd target, and DVFS.
+// tick and commands the power path, the regulator's Vdd target, and DVFS.
+// A controller that reads the solar node through comparators owns them
+// (storage/comparator.hpp), as the MPP tracker owns its V1/V2 timer, and
+// registers their switching levels through SocStepHint::watch_solar.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "common/audit.hpp"
 #include "common/units.hpp"
@@ -27,7 +28,6 @@
 #include "regulator/regulator.hpp"
 #include "sim/waveform.hpp"
 #include "storage/capacitor.hpp"
-#include "storage/comparator.hpp"
 
 namespace hemp {
 
@@ -43,8 +43,6 @@ struct SocConfig {
   Farads vdd_capacitance{10e-6};
   Volts solar_start_voltage{1.2};
   Volts vdd_start_voltage{0.5};
-  /// Descending comparator thresholds on the solar node (Fig. 8's V0, V1, V2).
-  std::vector<Volts> comparator_thresholds{Volts(1.1), Volts(1.0), Volts(0.9)};
   BypassParams bypass{};
   Seconds time_step{2e-6};
   /// Time constant of the regulator's output-voltage restoration loop.
@@ -57,8 +55,9 @@ struct SocConfig {
   bool audit = audit_compiled_in();
   /// Opt into the surface-only event-driven engine (zero exact solves in the
   /// stepped loop).  Falls back to the dense reference loop when the audit is
-  /// on, when the regulator is not the on-chip switched-cap converter, or when
-  /// the controller declines to bound its next state change (see SocStepHint).
+  /// on or when the regulator is not the on-chip switched-cap converter.  A
+  /// controller that declines to bound its next state change (see
+  /// SocStepHint) still runs on the fast path, one reference tick per step.
   bool fast_path = false;
   /// Knot-coarsening budget for the fast path's flattened trace: the
   /// absorbed-irradiance error allowed per simulated second (sun fraction;
@@ -106,7 +105,7 @@ struct SocCommand {
 /// the one use of a deadline at state.time.
 struct SocStepHint {
   /// Controller supports long steps from this state.  Left false (default),
-  /// the engine falls back to dense ticks for this run.
+  /// the engine steps one reference tick and asks again.
   bool event_driven = false;
   double next_deadline_s = std::numeric_limits<double>::infinity();
   std::array<double, 8> solar_watch{};
@@ -146,18 +145,12 @@ class SocController {
     (void)state;
     (void)cmd;
   }
-  virtual void on_comparator(const ComparatorEvent& event, const SocState& state,
-                             SocCommand& cmd) {
-    (void)event;
-    (void)state;
-    (void)cmd;
-  }
   /// Return true to stop the simulation early.
   virtual bool finished(const SocState& state) {
     (void)state;
     return false;
   }
-  /// Fast-path stepping advice, queried after on_tick / on_comparator.  A
+  /// Fast-path stepping advice, queried after on_tick.  A
   /// controller that can bound its next decision point sets event_driven and
   /// registers deadlines / watch levels; the default refuses long steps.
   virtual void step_hint(const SocState& state, SocStepHint& hint) const {
@@ -225,7 +218,6 @@ class SocSystem {
   RegulatorPtr regulator_;
   Processor processor_;
   PvCell cell_;
-  BypassSwitch bypass_;
   std::shared_ptr<FastSocContext> fast_ctx_;
 };
 

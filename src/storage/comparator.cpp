@@ -1,7 +1,5 @@
 #include "storage/comparator.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace hemp {
@@ -36,36 +34,6 @@ std::optional<ComparatorEvent> Comparator::update(Volts v, Seconds t) {
     return ComparatorEvent{Edge::kFalling, t, threshold_};
   }
   return std::nullopt;
-}
-
-ComparatorBank::ComparatorBank(std::vector<Volts> thresholds, Volts hysteresis)
-    : thresholds_(std::move(thresholds)) {
-  HEMP_REQUIRE(!thresholds_.empty(), "ComparatorBank: need >= 1 threshold");
-  for (std::size_t i = 1; i < thresholds_.size(); ++i) {
-    HEMP_REQUIRE(thresholds_[i - 1] > thresholds_[i],
-                 "ComparatorBank: thresholds must be strictly descending");
-  }
-  comparators_.reserve(thresholds_.size());
-  for (Volts th : thresholds_) comparators_.emplace_back(th, hysteresis);
-}
-
-std::vector<ComparatorEvent> ComparatorBank::update(Volts v, Seconds t) {
-  std::vector<ComparatorEvent> events;
-  update_into(v, t, events);
-  return events;
-}
-
-void ComparatorBank::update_into(Volts v, Seconds t,
-                                 std::vector<ComparatorEvent>& out) {
-  out.clear();
-  for (auto& c : comparators_) {
-    // hemp-analyzer: allow(hot-path-purity) — amortized: capacity reused
-    if (auto e = c.update(v, t)) out.push_back(*e);
-  }
-}
-
-void ComparatorBank::reset(Volts v) {
-  for (auto& c : comparators_) c.reset(v);
 }
 
 ThresholdTimer::ThresholdTimer(Volts v_high, Volts v_low, Volts hysteresis)

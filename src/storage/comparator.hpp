@@ -7,7 +7,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -45,30 +44,6 @@ class Comparator {
   bool output_ = false;  // true = input above threshold
   bool initialized_ = false;
   Seconds last_time_{0.0};
-};
-
-/// Ordered bank of comparators (V0 > V1 > V2 in the paper's Fig. 8 scheme).
-class ComparatorBank {
- public:
-  explicit ComparatorBank(std::vector<Volts> thresholds,
-                          Volts hysteresis = kComparatorHysteresis);
-
-  /// Feed a sample to every comparator; returns all toggles this sample.
-  std::vector<ComparatorEvent> update(Volts v, Seconds t);
-
-  /// Allocation-free variant for stepped loops: clears `out` and appends
-  /// this sample's toggles, reusing the caller's capacity.
-  void update_into(Volts v, Seconds t, std::vector<ComparatorEvent>& out);
-
-  [[nodiscard]] const std::vector<Volts>& thresholds() const { return thresholds_; }
-  [[nodiscard]] std::size_t size() const { return comparators_.size(); }
-  /// Present latched output of comparator `i` (true = input above threshold).
-  [[nodiscard]] bool output(std::size_t i) const { return comparators_[i].output(); }
-  void reset(Volts v);
-
- private:
-  std::vector<Volts> thresholds_;
-  std::vector<Comparator> comparators_;
 };
 
 /// Measures the time the waveform takes to fall from `v_high` to `v_low`

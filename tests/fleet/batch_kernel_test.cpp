@@ -373,40 +373,6 @@ TEST(BatchFleetKernel, EquivalentAcrossPolicyExtremes) {
   }
 }
 
-TEST(BatchFleetKernel, StepTraceNeverSkipsComparatorCrossing) {
-  // Indoor duty-cycled light switches between bright and dark instantly; the
-  // solar node repeatedly charges through the comparator bank and collapses
-  // back.  Every recorded edge sequence must strictly alternate per
-  // comparator — a skipped crossing would produce two same-direction edges.
-  FleetScenario s = quick_scenario();
-  s.trace_kind = TraceKind::kIndoor;
-  s.shared_trace = false;
-  s.job_cycles = 0.0;
-  s.nodes = 6;
-  const BatchFleetKernel kernel(s);
-  int total_events = 0;
-  for (int node = 0; node < s.nodes; ++node) {
-    std::vector<BatchComparatorEvent> events;
-    (void)kernel.run_node_traced(node, events);
-    total_events += static_cast<int>(events.size());
-    std::map<int, bool> last_rising;
-    Seconds last_time{-1.0};
-    for (const BatchComparatorEvent& e : events) {
-      EXPECT_GE(e.time.value(), last_time.value());
-      last_time = e.time;
-      const auto it = last_rising.find(e.comparator);
-      if (it != last_rising.end()) {
-        EXPECT_NE(it->second, e.rising)
-            << "comparator " << e.comparator << " emitted two "
-            << (e.rising ? "rising" : "falling") << " edges in a row at t="
-            << e.time.value();
-      }
-      last_rising[e.comparator] = e.rising;
-    }
-  }
-  EXPECT_GT(total_events, 0);
-}
-
 TEST(BatchFleetKernel, CrossoverTableTracksTheExactSelector) {
   // day1000's population (scenarios/day1000.scn); a constant sky skips the
   // per-node trace build and leaves every node's sampled hardware unchanged.
@@ -463,17 +429,6 @@ TEST(BatchFleetKernel, CrossoverTableTracksTheExactSelector) {
   ASSERT_GT(both, 0);
   EXPECT_LT(err_sum / both, 0.008);
   EXPECT_LT(err_max, 0.063);
-}
-
-TEST(BatchFleetKernel, TracedRunMatchesUntraced) {
-  const BatchFleetKernel kernel(quick_scenario());
-  std::vector<BatchComparatorEvent> events;
-  const NodeResult traced = kernel.run_node_traced(1, events);
-  const NodeResult plain = kernel.run_node(1);
-  // Tracing adds comparator watch levels, which only tightens steps; the
-  // physics must land on (nearly) the same totals.
-  EXPECT_LT(rel_gap(traced.harvested.value(), plain.harvested.value()), 1e-3);
-  EXPECT_LT(rel_gap(traced.cycles, plain.cycles), 1e-3);
 }
 
 }  // namespace

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
@@ -23,7 +25,9 @@
 #include "fleet/fleet_sim.hpp"
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
+#include "sim/flat_stepper.hpp"
 #include "storage/capacitor.hpp"
+#include "storage/comparator.hpp"
 #include "trace/generators.hpp"
 
 namespace hemp {
@@ -258,50 +262,92 @@ TEST(FastSoc, ManagedScenariosMatchReferenceModally) {
 // Discrete observability: comparator edges must not be skipped or invented.
 // ---------------------------------------------------------------------------
 
-/// Forwarding wrapper that counts comparator edges delivered to the inner
-/// controller (the fast path integrates through long steps, so the watch
-/// bounds — not the tick cadence — guarantee edge delivery).
-class EdgeCountingController : public SocController {
+/// Forwarding wrapper that owns three solar-node comparators (the paper's
+/// Fig. 8 V0 > V1 > V2), feeds them on every control evaluation, and counts
+/// their edges and how far past its threshold each one is seen.  Like any
+/// controller that owns comparators, it registers each one's switching level
+/// with the engine — th - half band while the output is high, th + half band
+/// while it is low — so the fast path's long steps never carry the node far
+/// across a level unobserved.
+class ComparatorOwningController : public SocController {
  public:
-  explicit EdgeCountingController(SocController& inner) : inner_(&inner) {}
+  explicit ComparatorOwningController(SocController& inner) : inner_(&inner) {}
   void on_start(const SocState& s, SocCommand& c) override {
+    for (Comparator& comp : comparators_) comp.reset(s.v_solar);
     inner_->on_start(s, c);
   }
   void on_tick(const SocState& s, SocCommand& c) override {
+    for (Comparator& comp : comparators_) {
+      if (comp.update(s.v_solar, s.time)) {
+        ++edges_;
+        worst_miss_ = std::max(
+            worst_miss_, std::fabs(s.v_solar.value() - comp.threshold().value()));
+      }
+    }
     inner_->on_tick(s, c);
-  }
-  void on_comparator(const ComparatorEvent& e, const SocState& s,
-                     SocCommand& c) override {
-    ++edges_;
-    inner_->on_comparator(e, s, c);
   }
   bool finished(const SocState& s) override { return inner_->finished(s); }
   void step_hint(const SocState& s, SocStepHint& h) const override {
     inner_->step_hint(s, h);
+    for (const Comparator& comp : comparators_) {
+      const double th = comp.threshold().value();
+      h.watch_solar(comp.output() ? th - flat::kCompHalfHyst
+                                  : th + flat::kCompHalfHyst);
+    }
   }
   [[nodiscard]] int edges() const { return edges_; }
+  /// Largest |v_solar - threshold| at which an edge was seen.
+  [[nodiscard]] double worst_miss() const { return worst_miss_; }
 
  private:
   SocController* inner_;
+  std::array<Comparator, 3> comparators_{Comparator(1.1_V), Comparator(1.0_V),
+                                         Comparator(0.9_V)};
   int edges_ = 0;
+  double worst_miss_ = 0.0;
 };
 
-TEST(FastSoc, ComparatorEdgeCountMatchesReference) {
-  // A deep light step drives the solar node down through the whole bank and
-  // (after recovery headroom at the lower level) partially back up.
-  const IrradianceTrace trace = IrradianceTrace::step(1.0, 0.02, 10.0_ms);
-  int counts[2] = {0, 0};
+/// Runs a fixed regulated load under `trace` on the dense loop, then on the
+/// fast path, and compares what the owned comparators saw.
+void expect_same_comparator_edges(const IrradianceTrace& trace, Seconds t_end) {
+  int edges[2] = {0, 0};
   for (int pass = 0; pass < 2; ++pass) {
-    SocConfig cfg = pass == 0 ? SocConfig{} : fast({});
-    SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(),
+    SocSystem soc(pass == 0 ? SocConfig{} : fast({}),
+                  std::make_unique<SwitchedCapRegulator>(),
                   Processor::make_test_chip());
     FixedPointController inner(PowerPath::kRegulated, 0.5_V, 300.0_MHz);
-    EdgeCountingController ctrl(inner);
-    (void)soc.run(trace, ctrl, 30.0_ms);
-    counts[pass] = ctrl.edges();
+    ComparatorOwningController ctrl(inner);
+    (void)soc.run(trace, ctrl, t_end);
+    edges[pass] = ctrl.edges();
+    // The watch bound lets the node overshoot a registered level by half a
+    // band, and a step is at least one reference tick (the cell's 15 mA
+    // short-circuit current moves the 47 uF node ~0.6 mV per 2 us tick), so
+    // every edge is seen within one band plus 1 mV of its threshold.  Without
+    // the registered levels the fast path sees these edges 7.9-10.8 mV out.
+    EXPECT_LT(ctrl.worst_miss(), kComparatorHysteresis.value() + 1e-3)
+        << (pass == 0 ? "dense loop" : "fast path");
   }
-  EXPECT_GT(counts[0], 0);
-  EXPECT_NEAR(counts[0], counts[1], 2);
+  EXPECT_GT(edges[0], 0);
+  EXPECT_NEAR(edges[0], edges[1], 2);
+}
+
+TEST(FastSoc, ComparatorEdgeCountMatchesReference) {
+  {
+    SCOPED_TRACE("deep light step");
+    // The solar node falls through all three levels once.
+    expect_same_comparator_edges(IrradianceTrace::step(1.0, 0.02, 10.0_ms),
+                                 30.0_ms);
+  }
+  {
+    SCOPED_TRACE("six cloud dips");
+    // Each dip drains the node down through the levels, and the sun after it
+    // charges the node back up through them.
+    std::vector<IrradianceTrace::CloudEvent> dips;
+    for (int k = 0; k < 6; ++k) {
+      dips.push_back({Seconds(5e-3 + 10e-3 * k), 4.0_ms, 0.98});
+    }
+    expect_same_comparator_edges(IrradianceTrace::clouds(1.0, dips), 65.0_ms);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -60,31 +60,6 @@ TEST(Comparator, Validation) {
   EXPECT_THROW(Comparator(1.0_V, Volts(-0.01)), ModelError);
 }
 
-TEST(ComparatorBank, RequiresDescendingThresholds) {
-  EXPECT_NO_THROW(ComparatorBank({1.1_V, 1.0_V, 0.9_V}));
-  EXPECT_THROW(ComparatorBank({0.9_V, 1.0_V}), ModelError);
-  EXPECT_THROW(ComparatorBank({1.0_V, 1.0_V}), ModelError);
-  EXPECT_THROW(ComparatorBank({}), ModelError);
-}
-
-TEST(ComparatorBank, ReportsAllCrossingsInOneSample) {
-  ComparatorBank bank({1.1_V, 1.0_V, 0.9_V});
-  bank.reset(1.2_V);
-  // Plunge below all three at once.
-  const auto events = bank.update(0.5_V, 1.0_ms);
-  EXPECT_EQ(events.size(), 3u);
-  for (const auto& e : events) EXPECT_EQ(e.edge, Edge::kFalling);
-}
-
-TEST(ComparatorBank, SequentialCrossingsFireIndividually) {
-  ComparatorBank bank({1.1_V, 1.0_V, 0.9_V});
-  bank.reset(1.2_V);
-  EXPECT_EQ(bank.update(1.05_V, 1.0_ms).size(), 1u);
-  EXPECT_EQ(bank.update(0.95_V, 2.0_ms).size(), 1u);
-  EXPECT_EQ(bank.update(0.85_V, 3.0_ms).size(), 1u);
-  EXPECT_EQ(bank.update(0.84_V, 4.0_ms).size(), 0u);
-}
-
 TEST(ThresholdTimer, MeasuresFallTime) {
   ThresholdTimer timer(1.0_V, 0.9_V);
   timer.reset(1.2_V);

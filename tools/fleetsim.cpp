@@ -11,6 +11,9 @@
 // (`summary_hash`), and writes
 // <out>/<name>_summary.json and <out>/<name>_nodes.csv.  Two runs with the
 // same scenario and seed print the same hash and write byte-identical JSON.
+// The `kernel:` line names the engine that ran: `batch`, or for
+// `--kernel reference` the dense loop (`dense`) or, for a forced policy that
+// opts into the single-node fast path, `fast`.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -148,12 +151,14 @@ int main(int argc, char** argv) {
     const Clock::time_point t0 = Clock::now();
     Clock::time_point built;
     FleetReport report;
+    const char* engine = "batch";
     if (use_batch) {
       const BatchFleetKernel kernel(scenario, {.parallel = !serial});
       built = Clock::now();
       report = kernel.run({.parallel = !serial});
     } else {
       const FleetSimulator sim(scenario);
+      engine = sim.engine();
       built = Clock::now();
       FleetOptions opts;
       opts.parallel = !serial;
@@ -171,7 +176,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.seed));
     std::printf("day length:    %.6g s (compressed day)\n",
                 report.day_length.value());
-    std::printf("kernel:        %s\n", use_batch ? "batch" : "reference");
+    std::printf("kernel:        %s\n", engine);
     if (!scenario.policy.empty()) {
       std::printf("policy:        %s (forced on every node)\n",
                   scenario.policy.c_str());

@@ -8,7 +8,8 @@
 // Runs every (policy, scenario, corner) cell on the fleet engine — the batch
 // SoA kernel when its constructor accepts the policy, the reference engine
 // (with the policy's fast-path opt-in) otherwise, and analytic offline scoring
-// for the DP oracle — then emits:
+// for the DP oracle — and labels each cell with the engine that ran it
+// (batch, fast or dense; see FleetSimulator::engine).  It then emits:
 //   * <out>/<json>: the full grid with per-cell metrics, an FNV-1a
 //     determinism hash per cell, a combined grid hash, and the Pareto front
 //     per (scenario, corner) group over (cycles up, deadline hit-rate up,
@@ -216,12 +217,13 @@ int main(int argc, char** argv) {
             kernel.emplace(sc, BatchKernelOptions{.parallel = !serial});
           } catch (const ModelError&) {
           }
-          const bool batch = kernel.has_value();
           FleetReport report;
-          if (batch) {
+          const char* engine = "batch";
+          if (kernel) {
             report = kernel->run({.parallel = !serial});
           } else {
             const FleetSimulator sim(sc);
+            engine = sim.engine();
             FleetOptions opts;
             opts.parallel = !serial;
             report = sim.run(opts);
@@ -232,7 +234,7 @@ int main(int argc, char** argv) {
           cell.scenario = report.scenario_name;
           cell.policy = policy_name;
           cell.corner = corner;
-          cell.kernel = batch ? "batch" : "reference";
+          cell.kernel = engine;
           cell.nodes = report.nodes;
           cell.hash = report.summary_hash;
           cell.total_cycles = report.total_cycles;
