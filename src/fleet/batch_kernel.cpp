@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -125,6 +127,114 @@ struct CrossoverTable {
   }
 };
 
+/// What the fixed block depends on: the widened pv-scale range and the
+/// clipped temperature band, {s_lo, s_hi, t_lo, t_hi}.  Everything else it
+/// reads (the grid sizes, PvCellParams{}, the switched-cap defaults,
+/// make_test_chip_at) is a constant.
+using FixedKey = std::array<double, 4>;
+
+FixedKey fixed_key(const FleetScenario& sc) {
+  const auto [s_lo, s_hi] =
+      widen_if_degenerate(sc.pv_scale_min, sc.pv_scale_max);
+  double t_lo = std::clamp(
+      sc.temperature_mean_c - kCrossTempSigmas * sc.temperature_sigma_c,
+      -20.0, 85.0);
+  double t_hi = std::clamp(
+      sc.temperature_mean_c + kCrossTempSigmas * sc.temperature_sigma_c,
+      -20.0, 85.0);
+  if (t_hi - t_lo < 1.0) {  // (near-)constant temperature: a 1 C band
+    t_lo = std::max(-20.0, t_hi - 1.0);
+    t_hi = t_lo + 1.0;
+  }
+  return {s_lo, s_hi, t_lo, t_hi};
+}
+
+/// The fixed block of a kernel: the low-light crossover tables and the
+/// shared MPP + terminal-current surfaces.  Immutable once built, so kernels
+/// of one key share it.
+struct FixedWork {
+  std::array<CrossoverTable, 3> cross;  ///< indexed by ProcessCorner
+  flat::MppSurface mpp;
+  flat::IvSurface iv;
+};
+
+/// Build the fixed block in one pass: the crossover tables (an exact
+/// RegulatorSelector bisection per (corner, temperature, pv_scale) knot, over
+/// a grid that covers the sampled temperatures) and the MPP + terminal-current
+/// surfaces (exact solves per pv-scale slice, by the hemp::flat builders).
+/// Each job shards its own knots or slices on `pool`.
+std::shared_ptr<const FixedWork> build_fixed_work(const FixedKey& key,
+                                                  ThreadPool* pool) {
+  const auto [s_lo, s_hi, t_lo, t_hi] = key;
+  auto fixed = std::make_shared<FixedWork>();
+  std::array<CrossoverTable, 3>& cross = fixed->cross;
+  for (CrossoverTable& table : cross) {
+    table.temps = linspace(t_lo, t_hi, kCrossTempKnots);
+    table.scales = linspace(s_lo, s_hi, kCrossSKnots);
+    table.g.resize(table.temps.size() * table.scales.size());
+  }
+  const SwitchedCapRegulator reg;
+  const std::size_t per_corner = cross[0].g.size();
+  const auto crossover_knot = [&](std::size_t k) {
+    CrossoverTable& table = cross[k / per_corner];
+    const std::size_t knot = k % per_corner;
+    const Processor proc = make_test_chip_at(
+        {static_cast<ProcessCorner>(k / per_corner),
+         table.temps[knot / table.scales.size()]});
+    const PvCell cell(node_pv(table.scales[knot % table.scales.size()]));
+    const SystemModel model(cell, reg, proc);
+    table.g[knot] = RegulatorSelector(model).crossover_irradiance().value_or(
+        std::numeric_limits<double>::quiet_NaN());
+  };
+  // The longest job first: the caller starts on it at once.
+  for_each_index(pool, 3, [&](std::size_t job) {
+    switch (job) {
+      case 0:
+        for_each_index(pool, cross.size() * per_corner, crossover_knot);
+        break;
+      case 1:
+        fixed->iv = flat::build_iv_surface(
+            linspace(s_lo, s_hi, kSurfaceSKnots), PvCellParams{}, kIvVMax,
+            flat::kIvVKnots, kSurfaceGMax, flat::kIvGKnots, pool);
+        break;
+      default:
+        fixed->mpp = flat::build_mpp_surface(PvCellParams{}, s_lo, s_hi,
+                                             kSurfaceSKnots, kSurfaceGMin,
+                                             kSurfaceGMax, kSurfaceGKnots,
+                                             pool);
+        break;
+    }
+  });
+  return fixed;
+}
+
+/// The fixed block for `key`: the last one built when its key matches bit for
+/// bit, else a fresh build that replaces it.  The lock covers only the lookup
+/// and the store, never the build, because a kernel may be built inside a task
+/// of the pool the build shards onto.  Two threads that miss on one key both
+/// build it; the builds are bit-identical, so either may keep the slot.
+std::shared_ptr<const FixedWork> fixed_work(const FixedKey& key,
+                                            ThreadPool* pool) {
+  struct Slot {
+    std::mutex mutex;
+    FixedKey key{};
+    std::shared_ptr<const FixedWork> work;
+  };
+  static Slot slot;
+  {
+    const std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.work != nullptr &&
+        std::memcmp(slot.key.data(), key.data(), sizeof key) == 0) {
+      return slot.work;
+    }
+  }
+  std::shared_ptr<const FixedWork> built = build_fixed_work(key, pool);
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  slot.key = key;
+  slot.work = built;
+  return built;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -143,24 +253,29 @@ struct BatchFleetKernel::Shared {
   std::vector<std::optional<double>> crossover_g;  ///< Fig. 7a irradiance
   std::vector<FlatTrace> traces;  ///< empty when scenario.shared_sky()
 
-  // Shared MPP + terminal-current surfaces over (pv_scale, irradiance),
-  // built by the hemp::flat layer (exact solves, ctor only).
-  flat::MppSurface mpp;
-  flat::IvSurface iv;
+  /// The crossover tables and the shared MPP + terminal-current surfaces
+  /// over (pv_scale, irradiance), shared with every kernel of the same key.
+  std::shared_ptr<const FixedWork> fixed;
 
   /// The regulator every node's SystemModel views.
   SwitchedCapRegulator reg;
 
   /// Node i's model-derived controller inputs off the shared surfaces: zero
-  /// exact solves, so building a controller is cheap.
+  /// exact solves, so building a controller is cheap.  Policies without
+  /// manager params sample the MPP table at the default tracker window, the
+  /// one GreedyMppController builds its tracker with; the duty controllers
+  /// ignore the inputs.
   [[nodiscard]] ControllerInputs controller_inputs(std::size_t i) const {
     const double s = samples[i].pv_scale;
+    const flat::MppSurface* mpp = &fixed->mpp;
     // MppLut sampling: the cell's output at the tracker's measure voltage
     // off the terminal-current surface, its MPP off the MPP surface.
-    const Volts v_meas =
-        policies[i]->manager_params()->tracker.lut_measure_voltage();
-    const flat::IvSurface::Bound cell = iv.bind(s);
-    const auto mpp_at = [this, s](double g) { return surface_mpp(mpp, s, g); };
+    const EnergyManagerParams* params = policies[i]->manager_params();
+    const Volts v_meas = params != nullptr
+                             ? params->tracker.lut_measure_voltage()
+                             : MppTrackerParams{}.lut_measure_voltage();
+    const flat::IvSurface::Bound cell = fixed->iv.bind(s);
+    const auto mpp_at = [mpp, s](double g) { return surface_mpp(*mpp, s, g); };
     return ControllerInputs{
         MppLut(
             v_meas,
@@ -168,8 +283,8 @@ struct BatchFleetKernel::Shared {
               return Watts(v_meas.value() * cell.cell_i(v_meas.value(), g));
             },
             mpp_at),
-        surface_mpp(mpp, s, 1.0),
-        crossover_g[i] ? Watts(mpp.pmpp_at(s, *crossover_g[i])) : Watts(0.0),
+        surface_mpp(*mpp, s, 1.0),
+        crossover_g[i] ? Watts(mpp->pmpp_at(s, *crossover_g[i])) : Watts(0.0),
         mpp_at};
   }
 };
@@ -183,74 +298,20 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   const FleetScenario& sc = sh.scenario;
   ThreadPool* const pool = shard_pool(opts);
 
-  // --- Policies: the kernel drives each node's registry-built controller
-  // and only steps EnergyManager-backed FIFO policies; everything else must
-  // use the reference engine. ----------------------------------------------
+  // --- Policies: the kernel drives each node's registry-built controller,
+  // so it runs every policy that builds a transient controller and refuses
+  // only the offline ones. ---------------------------------------------------
   const EnergyPolicy* forced = forced_policy(sc);
-  if (forced != nullptr) {
-    const EnergyManagerParams* params = forced->manager_params();
-    if (params == nullptr ||
-        params->queue_discipline != QueueDiscipline::kFifo) {
-      throw ModelError("BatchFleetKernel: policy '" + sc.policy +
-                       "' has no batch-kernel lane; run it on the reference "
-                       "kernel (fleetsim --kernel reference)");
-    }
+  if (forced != nullptr && forced->manager_params() == nullptr &&
+      !forced->fast_path()) {
+    throw ModelError("BatchFleetKernel: policy '" + sc.policy +
+                     "' builds no transient controller; run it on the "
+                     "reference kernel (fleetsim --kernel reference)");
   }
 
-  // --- Fixed work, one pass: the low-light crossover tables (an exact
-  // RegulatorSelector bisection per (corner, temperature, pv_scale) knot,
-  // over a grid that covers the sampled temperatures) and the shared MPP +
-  // terminal-current surfaces (exact solves per pv-scale slice, by the
-  // hemp::flat builders).  Each job shards its own knots or slices on the
-  // same pool. ---------------------------------------------------------------
-  const auto [s_lo, s_hi] =
-      widen_if_degenerate(sc.pv_scale_min, sc.pv_scale_max);
-  double t_lo = std::clamp(
-      sc.temperature_mean_c - kCrossTempSigmas * sc.temperature_sigma_c,
-      -20.0, 85.0);
-  double t_hi = std::clamp(
-      sc.temperature_mean_c + kCrossTempSigmas * sc.temperature_sigma_c,
-      -20.0, 85.0);
-  if (t_hi - t_lo < 1.0) {  // (near-)constant temperature: a 1 C band
-    t_lo = std::max(-20.0, t_hi - 1.0);
-    t_hi = t_lo + 1.0;
-  }
-  std::array<CrossoverTable, 3> cross;  // indexed by ProcessCorner
-  for (CrossoverTable& table : cross) {
-    table.temps = linspace(t_lo, t_hi, kCrossTempKnots);
-    table.scales = linspace(s_lo, s_hi, kCrossSKnots);
-    table.g.resize(table.temps.size() * table.scales.size());
-  }
-  const std::size_t per_corner = cross[0].g.size();
-  const auto crossover_knot = [&](std::size_t k) {
-    CrossoverTable& table = cross[k / per_corner];
-    const std::size_t knot = k % per_corner;
-    const Processor proc = make_test_chip_at(
-        {static_cast<ProcessCorner>(k / per_corner),
-         table.temps[knot / table.scales.size()]});
-    const PvCell cell(node_pv(table.scales[knot % table.scales.size()]));
-    const SystemModel model(cell, sh.reg, proc);
-    table.g[knot] = RegulatorSelector(model).crossover_irradiance().value_or(
-        std::numeric_limits<double>::quiet_NaN());
-  };
-  // The longest job first: the caller starts on it at once.
-  for_each_index(pool, 3, [&](std::size_t job) {
-    switch (job) {
-      case 0:
-        for_each_index(pool, cross.size() * per_corner, crossover_knot);
-        break;
-      case 1:
-        sh.iv = flat::build_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
-                                       PvCellParams{}, kIvVMax, flat::kIvVKnots,
-                                       kSurfaceGMax, flat::kIvGKnots, pool);
-        break;
-      default:
-        sh.mpp = flat::build_mpp_surface(PvCellParams{}, s_lo, s_hi,
-                                         kSurfaceSKnots, kSurfaceGMin,
-                                         kSurfaceGMax, kSurfaceGKnots, pool);
-        break;
-    }
-  });
+  // --- Fixed work: built once per key and shared (see fixed_work). --------
+  sh.fixed = fixed_work(fixed_key(sc), pool);
+  const std::array<CrossoverTable, 3>& cross = sh.fixed->cross;
 
   // Adaptive knot coarsening: every flattened trace gives up knots until the
   // cumulative absorbed-irradiance perturbation hits the scenario's per-day
@@ -316,6 +377,7 @@ namespace {
 struct NodeRunner {
   const BatchFleetKernel::Shared& sh;
   const NodeSample& s;
+  const flat::MppSurface& mpp;  ///< the MPPT-error reference
 
   // The node's hardware, its exact model (the controller's view of it), the
   // surface-derived inputs that spare it every exact solve, and the
@@ -333,6 +395,7 @@ struct NodeRunner {
   NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i)
       : sh(shared),
         s(shared.samples[i]),
+        mpp(shared.fixed->mpp),
         cfg(node_soc_config(shared.scenario, s)),
         cell(cfg.pv),
         model(cell, shared.reg, *shared.processors[i]),
@@ -345,7 +408,7 @@ struct NodeRunner {
     st.sc = &kScFlat;
     st.pc = &sh.proc[i];
     st.trace = sc.shared_sky() ? &sh.sky : &sh.traces[i];
-    st.iv = sh.iv.bind(s.pv_scale);
+    st.iv = sh.fixed->iv.bind(s.pv_scale);
     st.t_end = sc.day_length.value();
     st.dt_ref = cfg.time_step.value();
     st.tau = cfg.regulation_time_constant.value();
@@ -370,7 +433,7 @@ struct NodeRunner {
       if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
         const double g_q = std::round(g0 * 100.0) / 100.0;
         if (g_q >= 0.05) {
-          const double vmpp = sh.mpp.vmpp_at(s.pv_scale, g_q);
+          const double vmpp = mpp.vmpp_at(s.pv_scale, g_q);
           if (vmpp > 0.0) {
             mppt_num += dt * std::fabs(st.v_s - vmpp) / vmpp;
             mppt_den += dt;

@@ -51,19 +51,30 @@ struct BatchKernelOptions {
 
 /// Event-driven batch simulator for a whole FleetScenario.
 ///
+/// Routing: the kernel drives each node's registry-built controller, so it
+/// runs every policy that builds a transient controller.  The constructor
+/// accepts a forced policy when `manager_params() != nullptr || fast_path()`
+/// and throws ModelError, naming the reference kernel, for the rest: the
+/// offline oracle_dp.  fleetsim, the tournament and the benchmark route by it.
+///
 /// Construction precomputes the shared surfaces (exact solves are allowed
-/// and expected here); run() and run_node() never fall back to them.
+/// and expected here); run() and run_node() never fall back to them.  The
+/// fixed block (the MPP and IV surfaces and the crossover tables) depends
+/// only on the widened pv-scale range and the clipped temperature band: a
+/// one-slot process-wide memo keeps the last one built, and a kernel whose
+/// four numbers match it bit for bit shares it with no exact solve.
 ///
 /// Construction shards onto `opts`' pool by the same rule as run() (only
 /// `pool` and `parallel` are read), in two parallel_for passes: the fixed
-/// work (the MPP and IV surfaces per pv-scale slice, the crossover table per
-/// (corner, temperature, pv_scale) knot), then the node plane (draw, policy,
-/// flattened and coarsened sky, Processor, crossover lookup per node).  Every
-/// body writes only its own index's slot and node i draws only from
-/// node_rng(scenario, i), so the kernel — and every report it produces — is
-/// bit-identical to the serial loop's, whatever the thread order.  The
-/// passes nest parallel_for on one pool, so a kernel may also be built
-/// inside a task of that pool.
+/// work on a memo miss (the MPP and IV surfaces per pv-scale slice, the
+/// crossover table per (corner, temperature, pv_scale) knot), then the node
+/// plane (draw, policy, flattened and coarsened sky, Processor, crossover
+/// lookup per node).  Every body writes only its own index's slot and node i
+/// draws only from node_rng(scenario, i), so the kernel — and every report it
+/// produces — is bit-identical to the serial loop's, whatever the thread
+/// order.  The passes nest parallel_for on one pool, and the memo holds its
+/// lock only to look up and to store, never across a build, so a kernel may
+/// also be built inside a task of that pool.
 class BatchFleetKernel {
  public:
   explicit BatchFleetKernel(FleetScenario scenario,

@@ -13,9 +13,9 @@
 // fast path and the SoA batch fleet kernel all drive.  What differs is where
 // a policy may run, fastest first:
 //   * the batch fleet kernel builds each node's controller here with
-//     PolicyContext::inputs filled from its shared surfaces, and runs the
-//     EnergyManager-backed FIFO policies (manager_params() non-null, FIFO
-//     queue); its constructor refuses the rest;
+//     PolicyContext::inputs filled from its shared surfaces, and runs every
+//     policy that builds a transient controller (manager_params() non-null
+//     or fast_path()); its constructor refuses only the offline ones;
 //   * controllers that implement SocController::step_hint run on the
 //     single-node surface-only fast path (policies opt in via fast_path());
 //   * offline() — policies that need the whole irradiance trace ahead of
@@ -117,8 +117,9 @@ class EnergyPolicy {
 
   /// The EnergyManager parameters an EnergyManager-backed policy is built
   /// from; null for every other policy.  The batch fleet kernel runs a
-  /// forced policy only when this is non-null (and the queue is FIFO), and
-  /// samples its controllers' MPP table at this tracker's window.
+  /// forced policy when this is non-null or fast_path() is true, and samples
+  /// its controllers' MPP table at this tracker's window (the default
+  /// MppTrackerParams window when this is null).
   [[nodiscard]] virtual const EnergyManagerParams* manager_params() const {
     return nullptr;
   }

@@ -14,6 +14,7 @@
 #include "core/regulator_selector.hpp"
 #include "fleet/fleet_sim.hpp"
 #include "fleet/population.hpp"
+#include "policy/registry.hpp"
 #include "processor/corners.hpp"
 #include "regulator/switched_cap.hpp"
 
@@ -180,13 +181,22 @@ TEST(BatchFleetKernel, RunNodeMatchesRun) {
 }
 
 TEST(BatchFleetKernel, NoExactSolvesDuringRun) {
-  const BatchFleetKernel kernel(quick_scenario());
-  const auto before = solver_stats::snapshot();
-  (void)kernel.run();
-  const auto delta = solver_stats::delta_since(before);
-  EXPECT_EQ(delta.total(), 0u);
-  EXPECT_EQ(delta.mpp_solves, 0u);
-  EXPECT_EQ(delta.regulated_solves, 0u);
+  // The legacy mix, then every online policy forced onto every node.
+  std::vector<std::string> policies = PolicyRegistry::global().names();
+  std::erase(policies, "oracle_dp");  // offline: builds no controller
+  policies.insert(policies.begin(), "");
+  for (const std::string& policy : policies) {
+    SCOPED_TRACE(policy.empty() ? "legacy mix" : policy);
+    FleetScenario s = quick_scenario();
+    s.policy = policy;
+    const BatchFleetKernel kernel(s);
+    const auto before = solver_stats::snapshot();
+    (void)kernel.run();
+    const auto delta = solver_stats::delta_since(before);
+    EXPECT_EQ(delta.total(), 0u);
+    EXPECT_EQ(delta.mpp_solves, 0u);
+    EXPECT_EQ(delta.regulated_solves, 0u);
+  }
 }
 
 /// The hardware population and policy mix scenarios/smoke.scn and
@@ -254,16 +264,28 @@ void expect_same_inputs(const ControllerInputs& a, const ControllerInputs& b) {
   }
 }
 
+/// Build a one-node kernel of `s`'s population with a 1 C temperature band,
+/// so the next kernel of `s`'s own key (a wider band) misses the fixed-work
+/// memo.
+void evict_fixed_work(FleetScenario s) {
+  s.nodes = 1;
+  s.temperature_sigma_c = 0.0;
+  const BatchFleetKernel other(s, {.parallel = false});
+}
+
 TEST(BatchFleetKernel, ConstructionIndependentOfThreadOrder) {
   // Serial construction against a 4-thread pool: the same kernel, built by
-  // the same exact solves, whatever order the pool runs the bodies in.
+  // the same exact solves, whatever order the pool runs the bodies in.  A
+  // kernel of another key before each build makes both of them memo misses.
   ThreadPool pool(4);
   for (const FleetScenario& s :
        {smoke_scenario(), day1000_scenario(64)}) {
     SCOPED_TRACE(s.name);
+    evict_fixed_work(s);
     const auto serial_before = solver_stats::snapshot();
     const BatchFleetKernel serial(s, {.parallel = false});
     const auto serial_solves = solver_stats::delta_since(serial_before);
+    evict_fixed_work(s);
     const auto pooled_before = solver_stats::snapshot();
     const BatchFleetKernel pooled(s, {.pool = &pool});
     const auto pooled_solves = solver_stats::delta_since(pooled_before);
@@ -277,6 +299,60 @@ TEST(BatchFleetKernel, ConstructionIndependentOfThreadOrder) {
     }
     EXPECT_EQ(serial.run({.parallel = false}).summary_hash,
               pooled.run({.pool = &pool}).summary_hash);
+  }
+}
+
+TEST(BatchFleetKernel, FixedWorkReuseIsBitIdentical) {
+  // A kernel whose key hits the memo shares the last build's fixed work and
+  // pays no exact solve; it must equal a kernel built from scratch.  Another
+  // seed and node count keep the key (pv-scale range, temperature band).
+  const FleetScenario s = day1000_scenario(32);
+  FleetScenario same_key = smoke_scenario();
+  same_key.nodes = 4;
+  evict_fixed_work(s);
+  const auto miss_before = solver_stats::snapshot();
+  const BatchFleetKernel miss(s, {.parallel = false});
+  EXPECT_GT(solver_stats::delta_since(miss_before).mpp_solves, 0u);
+
+  evict_fixed_work(s);
+  const BatchFleetKernel warm(same_key, {.parallel = false});
+  const auto hit_before = solver_stats::snapshot();
+  const BatchFleetKernel hit(s, {.parallel = false});
+  EXPECT_EQ(solver_stats::delta_since(hit_before).total(), 0u);
+
+  for (int i = 0; i < s.nodes; ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    expect_same_inputs(miss.controller_inputs(i), hit.controller_inputs(i));
+  }
+  EXPECT_EQ(miss.run({.parallel = false}).summary_hash,
+            hit.run({.parallel = false}).summary_hash);
+}
+
+TEST(BatchFleetKernel, ConcurrentBuildsOfTwoKeysMatchTheirSerialBuilds) {
+  // Kernels of two keys built at once inside tasks of one pool: the memo
+  // slot changes hands under them, and every build still gives its key's
+  // serial hash.
+  const FleetScenario base = day1000_scenario(12);
+  FleetScenario cold = base;
+  cold.temperature_mean_c = 5.0;
+  const std::vector<FleetScenario> keys = {base, cold};
+  std::vector<std::uint64_t> expected;
+  for (const FleetScenario& s : keys) {
+    evict_fixed_work(s);
+    expected.push_back(BatchFleetKernel(s, {.parallel = false})
+                           .run({.parallel = false})
+                           .summary_hash);
+  }
+  ASSERT_NE(expected[0], expected[1]);
+
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> hashes(8, 0);
+  parallel_for(pool, hashes.size(), [&](std::size_t i) {
+    const BatchFleetKernel kernel(keys[i % 2], {.pool = &pool});
+    hashes[i] = kernel.run({.pool = &pool}).summary_hash;
+  });
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    EXPECT_EQ(hashes[i], expected[i % 2]) << "task " << i;
   }
 }
 
@@ -369,6 +445,19 @@ TEST(BatchFleetKernel, EquivalentAcrossPolicyExtremes) {
     FleetScenario s = quick_scenario();
     s.min_energy_fraction = fraction;
     SCOPED_TRACE("min_energy_fraction=" + std::to_string(fraction));
+    expect_equivalent(s, 0.12, 0.25);
+  }
+}
+
+TEST(BatchFleetKernel, EquivalentForEveryOnlinePolicy) {
+  // The policies the reference runs on its single-node fast path, forced
+  // onto every node of a cloudy fleet.
+  for (const char* policy : {"edf_sprint", "greedy_mpp", "duty25", "duty50"}) {
+    SCOPED_TRACE(policy);
+    FleetScenario s = quick_scenario();
+    s.trace_kind = TraceKind::kClouds;
+    s.shared_trace = true;
+    s.policy = policy;
     expect_equivalent(s, 0.12, 0.25);
   }
 }

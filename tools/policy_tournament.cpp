@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
           sc.policy = policy_name;
 
           // The batch kernel's constructor decides the route: it refuses
-          // (ModelError) every policy its flattened lane cannot run.
+          // (ModelError) the offline policies, which build no controller.
           const auto t0 = std::chrono::steady_clock::now();
           std::optional<BatchFleetKernel> kernel;
           try {
