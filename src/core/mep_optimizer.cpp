@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/numeric.hpp"
 #include "core/controller_inputs.hpp"
-#include "core/model_surfaces.hpp"
 
 namespace hemp {
 
@@ -14,17 +13,8 @@ MepOptimizer::MepOptimizer(const SystemModel& model,
                            const ControllerInputs* inputs)
     : model_(&model), inputs_(inputs) {}
 
-MepOptimizer::MepOptimizer(const ModelSurfaces& surfaces)
-    : model_(&surfaces.model()), surfaces_(&surfaces) {}
-
 MaxPowerPoint MepOptimizer::mpp(double g) const {
-  if (surfaces_ != nullptr) return surfaces_->mpp(g);
   return inputs_ != nullptr ? inputs_->mpp(g) : model_->mpp(g);
-}
-
-Hertz MepOptimizer::max_frequency(Volts vdd) const {
-  return surfaces_ ? surfaces_->max_frequency(vdd)
-                   : model_->processor().max_frequency(vdd);
 }
 
 Joules MepOptimizer::rail_energy_per_cycle(Volts vdd) const {
@@ -76,7 +66,7 @@ MepPoint MepOptimizer::holistic(double g) const {
   if (!std::isfinite(r.value)) return out;
   out.vdd = Volts(r.x);
   out.energy_per_cycle = Joules(r.value);
-  out.frequency = max_frequency(out.vdd);
+  out.frequency = proc.max_frequency(out.vdd);
   out.feasible = true;
   return out;
 }

@@ -19,7 +19,6 @@ struct MepPoint {
   bool feasible = false;
 };
 
-class ModelSurfaces;
 struct ControllerInputs;  // core/controller_inputs.hpp
 
 class MepOptimizer {
@@ -28,13 +27,6 @@ class MepOptimizer {
   /// the optimizer), else from the exact `model.mpp`.
   explicit MepOptimizer(const SystemModel& model,
                         const ControllerInputs* inputs = nullptr);
-
-  /// Solve with memoized surfaces: MPP and max-frequency lookups come from
-  /// the interpolated grids (accuracy per SurfaceConfig::tolerance).  The
-  /// per-voltage regulator efficiency stays exact — the MEP objective
-  /// evaluates it at the full-speed load, not at the delivered-power
-  /// operating point the efficiency surface tabulates.
-  explicit MepOptimizer(const ModelSurfaces& surfaces);
 
   /// Conventional MEP: regulator ignored (Fig. 7b dashed curve).
   [[nodiscard]] MepPoint conventional() const;
@@ -65,10 +57,8 @@ class MepOptimizer {
   [[nodiscard]] MaxPowerPoint mpp(double g) const;
   [[nodiscard]] Joules source_energy_per_cycle(Volts vdd,
                                                const MaxPowerPoint& point) const;
-  [[nodiscard]] Hertz max_frequency(Volts vdd) const;
 
   const SystemModel* model_;
-  const ModelSurfaces* surfaces_ = nullptr;
   const ControllerInputs* inputs_ = nullptr;
 };
 

@@ -33,16 +33,17 @@ namespace hemp {
 
 namespace {
 
-// The batch kernel integrates every node with the shared flat::NodeStepper
-// (sim/flat_stepper.hpp) over the hemp::flat closed forms, driving the node's
-// real controller built through the policy registry.  Every physics constant
-// comes from the structs the reference engine uses (SocConfig, BypassParams,
-// SwitchedCapParams, the per-node Processor); the constants below are only
-// this kernel's own discretisation choices.
+// The batch kernel integrates every node through the one event-driven loop,
+// flat::NodeStepper::run (sim/flat_stepper.hpp), over the hemp::flat closed
+// forms, driving the node's real controller built through the policy
+// registry.  Every physics constant comes from the structs the reference
+// engine uses (SocConfig, BypassParams, SwitchedCapParams, the per-node
+// Processor); the constants below are only this kernel's own
+// discretisation choices.
 
 using flat::FlatTrace;
+using flat::flatten_coarsened;
 using flat::flatten_constant;
-using flat::flatten_trace;
 
 // Surface resolution (shared across the fleet; exact solves, ctor only).
 constexpr int kSurfaceSKnots = 13;
@@ -317,12 +318,12 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   // cumulative absorbed-irradiance perturbation hits the scenario's per-day
   // budget (see flat::FlatTrace::coarsen).  Each surviving knot is a step the
   // event-driven loop must take, so this directly buys throughput.
-  const double coarsen_budget = sc.trace_coarsen_eps * sc.day_length.value();
+  const double day = sc.day_length.value();
   if (sc.shared_sky()) {
     sh.sky = sc.trace_kind == TraceKind::kConstant
                  ? flatten_constant(sc.constant_g)
-                 : flatten_trace(make_shared_sky(sc), sc.day_length.value());
-    if (coarsen_budget > 0.0) sh.sky.coarsen(coarsen_budget);
+                 : flatten_coarsened(make_shared_sky(sc), day,
+                                     sc.trace_coarsen_eps);
   }
 
   // --- Node plane, one pass: node i draws from its own fork(i) stream and
@@ -340,8 +341,8 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     NodeSample& s = sh.samples[i] = sample_node(sc, static_cast<int>(i), rng);
     sh.policies[i] = &node_policy(forced, s);
     if (!sc.shared_sky()) {
-      sh.traces[i] = flatten_trace(make_trace(sc, rng), sc.day_length.value());
-      if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
+      sh.traces[i] =
+          flatten_coarsened(make_trace(sc, rng), day, sc.trace_coarsen_eps);
     }
 
     sh.proc[i] =
@@ -370,8 +371,11 @@ ControllerInputs BatchFleetKernel::controller_inputs(int index) const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-node runner: the node's registry-built controller driving the shared
-// flat::NodeStepper, integrated to completion one node at a time.
+// Per-node runner: the node's registry-built controller driving
+// flat::NodeStepper::run, integrated to completion one node at a time.  The
+// runner is also the loop's step hook: it adds no deadline and accumulates
+// the MPPT tracking error dt-weighted (the reference averages uniform
+// waveform samples under the same predicate).
 // ---------------------------------------------------------------------------
 
 struct NodeRunner {
@@ -389,8 +393,8 @@ struct NodeRunner {
   std::unique_ptr<PolicyController> controller;
 
   flat::NodeStepper st;
-  SocState state{};
-  SocCommand cmd{};
+  double mppt_num = 0.0;
+  double mppt_den = 0.0;
 
   NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i)
       : sh(shared),
@@ -405,43 +409,35 @@ struct NodeRunner {
     ctx.inputs = &inputs;
     controller = sh.policies[i]->make_controller(ctx);
 
+    st.configure(cfg);
     st.sc = &kScFlat;
     st.pc = &sh.proc[i];
     st.trace = sc.shared_sky() ? &sh.sky : &sh.traces[i];
     st.iv = sh.fixed->iv.bind(s.pv_scale);
     st.t_end = sc.day_length.value();
-    st.dt_ref = cfg.time_step.value();
-    st.tau = cfg.regulation_time_constant.value();
-    st.c_solar = cfg.solar_capacitance.value();
-    st.c_vdd = cfg.vdd_capacitance.value();
-    st.r_on = cfg.bypass.on_resistance.value();
-    st.v_s = cfg.solar_start_voltage.value();
-    st.v_d = cfg.vdd_start_voltage.value();
-    st.start(*controller, state, cmd);
   }
 
-  /// Integrate the node's day, one stepper step at a time, accumulating the
-  /// MPPT tracking error dt-weighted (the reference averages uniform
-  /// waveform samples under the same predicate).
-  HEMP_HOT NodeResult run() {
-    SocStepHint hint;
-    double mppt_num = 0.0, mppt_den = 0.0;
-    while (!st.done()) {
-      const double g0 = st.control(*controller, state, cmd, hint);
-      const double dt = st.step(cmd, hint, g0);
-      st.observe(state);
-      if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
-        const double g_q = std::round(g0 * 100.0) / 100.0;
-        if (g_q >= 0.05) {
-          const double vmpp = mpp.vmpp_at(s.pv_scale, g_q);
-          if (vmpp > 0.0) {
-            mppt_num += dt * std::fabs(st.v_s - vmpp) / vmpp;
-            mppt_den += dt;
-          }
+  [[nodiscard]] static double deadline(double /*t*/) {
+    return std::numeric_limits<double>::infinity();
+  }
+
+  HEMP_HOT void on_step(double /*t0*/, double g0, double dt,
+                        const SocState& /*state*/, const SocCommand& cmd) {
+    if (cmd.path == PowerPath::kRegulated && st.f_eff > 0.0 && g0 >= 0.05) {
+      const double g_q = std::round(g0 * 100.0) / 100.0;
+      if (g_q >= 0.05) {
+        const double vmpp = mpp.vmpp_at(s.pv_scale, g_q);
+        if (vmpp > 0.0) {
+          mppt_num += dt * std::fabs(st.v_s - vmpp) / vmpp;
+          mppt_den += dt;
         }
       }
     }
-    st.flush_step_counts();
+  }
+
+  /// Integrate the node's day.
+  NodeResult run() {
+    st.run(*controller, *this);
     return node_result(s, st.totals(), controller->job_stats(),
                        mppt_den > 0.0 ? mppt_num / mppt_den : 0.0);
   }

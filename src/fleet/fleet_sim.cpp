@@ -105,7 +105,7 @@ FleetReport FleetSimulator::run(const FleetOptions& opts) const {
   std::vector<NodeResult> results = sweep_indexed(
       static_cast<std::size_t>(scenario_.nodes),
       [&](std::size_t i) { return run_node(static_cast<int>(i), shared); },
-      {.pool = opts.pool, .parallel = opts.parallel});
+      opts);
   return aggregate(scenario_, std::move(results));
 }
 

@@ -15,22 +15,18 @@
 
 #include <memory>
 
-#include "common/thread_pool.hpp"
 #include "core/energy_manager.hpp"  // PeriodicJobController lives here now
 #include "fleet/report.hpp"
 #include "fleet/scenario.hpp"
 #include "harvester/light_environment.hpp"
+#include "sim/sweep.hpp"
 
 namespace hemp {
 
 class EnergyPolicy;
 
-struct FleetOptions {
-  /// Pool to shard nodes onto; nullptr uses ThreadPool::shared().
-  ThreadPool* pool = nullptr;
-  /// false runs the serial reference loop (bit-identical results).
-  bool parallel = true;
-};
+/// Pool and serial/parallel switch for run(): the node sweep's own options.
+using FleetOptions = SweepOptions;
 
 class FleetSimulator {
  public:

@@ -3,13 +3,14 @@
 //
 // The dense reference loop (soc_system.cpp) evaluates the exact component
 // models every 2 us tick — a Brent solve for the cell current dominates.
-// This engine instead drives the real SocController through the shared
-// flat::NodeStepper (sim/flat_stepper.hpp), which reads the precomputed
-// hemp::flat surfaces and advances in long closed-form steps bounded by the
-// controller's SocStepHint (deadlines and watch levels), the trace knots
-// and the waveform decimation cadence.  Zero exact solves run inside the
-// stepped loop — the equivalence suite in tests/sim asserts this via
-// hemp::solver_stats.
+// This engine instead drives the real SocController through the one
+// event-driven loop, flat::NodeStepper::run (sim/flat_stepper.hpp), which
+// reads the precomputed hemp::flat surfaces and advances in long closed-form
+// steps bounded by the controller's SocStepHint (deadlines and watch levels)
+// and the trace knots.  The engine's step hook adds the waveform decimation
+// cadence as one more deadline and records the decimated waveform rows.
+// Zero exact solves run inside the stepped loop — the equivalence suite in
+// tests/sim asserts this via hemp::solver_stats.
 #include <algorithm>
 #include <cstddef>
 #include <memory>
@@ -39,49 +40,33 @@ bool SocSystem::fast_eligible() const {
 
 namespace {
 
-struct FastEngine {
-  // Wiring (set once in run_fast).
-  SocController* controller = nullptr;
-  Waveform* waveform = nullptr;
+/// The fast path's step hook: the waveform cadence as one more deadline, and
+/// one decimated waveform row per sample instant.
+struct WaveformHook {
+  const flat::NodeStepper& st;
+  Waveform& waveform;
   double interval = 0.0;
-
-  flat::NodeStepper st;
-  SocState state{};
-  SocCommand cmd{};
   double next_sample = 0.0;
 
-  HEMP_HOT SimResult loop() {
-    SocStepHint hint;
-    while (!st.done()) {
-      const double t = st.t;
-      const double g0 = st.control(*controller, state, cmd, hint);
-      // Step length from the controller's own bounds plus the waveform
-      // cadence: a record fires this iteration when next_sample is already
-      // due, so the step must not overshoot the sample after it.
-      hint.deadline(next_sample > t ? next_sample : t + interval);
-      st.step(cmd, hint, g0);
-      st.observe(state);
+  /// A row is recorded after the step from `t` when next_sample is already
+  /// due, so that step must not overshoot the sample after it.
+  [[nodiscard]] double deadline(double t) const {
+    return next_sample > t ? next_sample : t + interval;
+  }
 
-      // --- Decimated waveform. ----------------------------------------------
-      if (t >= next_sample) {
-        const double row[8] = {st.v_s,
-                               st.v_d,
-                               g0,
-                               st.f_eff,
-                               state.p_harvest.value(),
-                               st.p_load,
-                               static_cast<double>(static_cast<int>(cmd.path)),
-                               st.cycles};
-        waveform->record(t, row);
-        next_sample = t + interval;
-      }
-      if (controller->finished(state)) break;
-    }
-
-    st.flush_step_counts();
-    // hemp-analyzer: allow(hot-path-purity) — slack trim after the stepped loop
-    waveform->finalize();
-    return SimResult{std::move(*waveform), st.totals(), state};
+  HEMP_HOT void on_step(double t0, double g0, double /*dt*/,
+                        const SocState& state, const SocCommand& cmd) {
+    if (t0 < next_sample) return;
+    const double row[8] = {st.v_s,
+                           st.v_d,
+                           g0,
+                           st.f_eff,
+                           state.p_harvest.value(),
+                           st.p_load,
+                           static_cast<double>(static_cast<int>(cmd.path)),
+                           st.cycles};
+    waveform.record(t0, row);
+    next_sample = t0 + interval;
   }
 };
 
@@ -89,10 +74,8 @@ struct FastEngine {
 
 SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
                               SocController& controller, Seconds t_end) {
-  flat::FlatTrace trace = flat::flatten_trace(trace_in, t_end.value());
-  if (config_.trace_coarsen_eps > 0.0) {
-    trace.coarsen(config_.trace_coarsen_eps * t_end.value());
-  }
+  const flat::FlatTrace trace = flat::flatten_coarsened(
+      trace_in, t_end.value(), config_.trace_coarsen_eps);
   double g_need = trace.constant
                       ? trace.g_const
                       : *std::max_element(trace.gs.begin(), trace.gs.end());
@@ -122,27 +105,19 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
       static_cast<std::size_t>(t_end.value() / config_.waveform_interval.value()) +
       2);
 
-  FastEngine e;
-  e.controller = &controller;
-  e.waveform = &waveform;
-  e.interval = config_.waveform_interval.value();
-  flat::NodeStepper& st = e.st;
+  flat::NodeStepper st;
+  st.configure(config_);
   st.sc = &fast_ctx_->sc;
   st.pc = &fast_ctx_->pc;
   st.trace = &trace;
   st.iv = fast_ctx_->iv.bind(1.0);
   st.t_end = t_end.value();
-  st.dt_ref = config_.time_step.value();
-  st.tau = config_.regulation_time_constant.value();
-  st.c_solar = config_.solar_capacitance.value();
-  st.c_vdd = config_.vdd_capacitance.value();
-  st.r_on = config_.bypass.on_resistance.value();
   st.replay_bypass_entry = true;
-  st.v_s = config_.solar_start_voltage.value();
-  st.v_d = config_.vdd_start_voltage.value();
 
-  st.start(controller, e.state, e.cmd);
-  return e.loop();
+  WaveformHook hook{st, waveform, config_.waveform_interval.value()};
+  const SocState state = st.run(controller, hook);
+  waveform.finalize();
+  return SimResult{std::move(waveform), st.totals(), state};
 }
 
 }  // namespace hemp

@@ -219,6 +219,13 @@ void FlatTrace::coarsen(double eps) {
   gs = std::move(gs2);
 }
 
+FlatTrace flatten_coarsened(const IrradianceTrace& trace, double t_end,
+                            double eps) {
+  FlatTrace flat = flatten_trace(trace, t_end);
+  flat.coarsen(eps * t_end);
+  return flat;
+}
+
 FlatTrace flatten_constant(double g) {
   FlatTrace flat;
   flat.constant = true;

@@ -242,6 +242,13 @@ struct FlatTrace {
 FlatTrace flatten_trace(const IrradianceTrace& trace, double t_end);
 FlatTrace flatten_constant(double g);
 
+/// flatten_trace, then FlatTrace::coarsen under the run's budget `eps` *
+/// `t_end`: `eps` is the absorbed-irradiance error allowed per simulated
+/// second (SocConfig / FleetScenario::trace_coarsen_eps).  `eps` = 0 keeps
+/// every knot.
+FlatTrace flatten_coarsened(const IrradianceTrace& trace, double t_end,
+                            double eps);
+
 // ---------------------------------------------------------------------------
 // Terminal-current surface i(v, g), sampled per pv-scale knot.
 // ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
-// One surface-only node stepper shared by both event-driven engines: the
-// fleet batch kernel (fleet/batch_kernel.cpp) and the single-node fast path
+// One surface-only node loop shared by both event-driven engines: the fleet
+// batch kernel (fleet/batch_kernel.cpp) and the single-node fast path
 // (sim/fast_soc.cpp).  Both drive a real SocController (the batch kernel
-// builds its nodes' controllers through the policy registry); everything from
-// the controller call to the time advance lives here, once.
+// builds its nodes' controllers through the policy registry) through run(),
+// the one loop: its per-step calls are private, so everything from the
+// controller call to the time advance lives here, once.
 //
-// Step protocol (the engine drives it, one call each per step):
+// The loop.  run(ctl, hook) calls on_start at t = 0, then steps until t_end
+// or ctl.finished(), and flushes the per-cause step counts once at the end:
 //
-//   st.start(ctl, state, cmd);     once: on_start at t = 0
-//   g0 = st.control(ctl, state, cmd, hint)
-//                                  SocState refresh, on_tick, the load gate
-//                                  (vmin latch, f_max clamp, timing faults)
-//                                  and the controller's step hint
-//   dt = st.step(cmd, hint, g0);   step length, integration, totals, time
-//                                  advance
-//   st.observe(state);             post-step state the controller sees next
+//   control            SocState refresh, on_tick, the load gate (vmin latch,
+//                      f_max clamp, timing faults), the controller's hint
+//   hook.deadline(t)   the engine's next timed event, added to the hint
+//   step               step length, integration, totals, time advance
+//   observe            post-step state the controller sees next
+//   hook.on_step(t0, g0, dt, state, cmd)
+//                      the engine's own work on the finished step
+//
+// The fast path's hook adds its waveform cadence and records a waveform row;
+// the batch kernel's adds no deadline (+infinity) and accumulates the node's
+// MPPT tracking error.
 //
 // Step length.  A step jumps to the earliest timed event — the hint's
 // deadline, the next trace knot — tightened by
@@ -54,10 +59,10 @@
 //
 // Exactly two behaviours differ between the engines, and each engine sets
 // them in code: the fast path replays the reference RC tick through bypass
-// entry (replay_bypass_entry, see kBypassMergeBand), and it adds its waveform
-// cadence to the hint as one more deadline.  A controller that declines long
-// steps (SocStepHint::event_driven == false) steps dense reference ticks on
-// either engine.
+// entry (replay_bypass_entry, see kBypassMergeBand), and its hook adds the
+// waveform cadence to the hint as one more deadline.  A controller that
+// declines long steps (SocStepHint::event_driven == false) steps dense
+// reference ticks on either engine.
 #pragma once
 
 #include <algorithm>
@@ -150,49 +155,39 @@ struct NodeStepper {
   /// Irradiance at the present time (the controller's view of the sky).
   [[nodiscard]] double irradiance() { return trace->at(t, cur); }
 
-  // ---------------------------------------------------------------------
-  // Controller half of a step.
-  // ---------------------------------------------------------------------
-
-  /// Hand the node to the controller at the run start.  The command latch
-  /// starts at the rail's start voltage.
-  void start(SocController& ctl, SocState& state, SocCommand& cmd) {
-    cmd.vdd_target = Volts(v_d);
-    state.v_solar = Volts(v_s);
-    state.v_dd = Volts(v_d);
-    state.irradiance = irradiance();
-    ctl.on_start(state, cmd);
+  /// Wire the run constants and the start voltages from `cfg`: the
+  /// reference tick, the regulator time constant, both capacitances, the
+  /// bypass switch resistance and the two node start voltages.  The engine
+  /// sets the surfaces, the trace, t_end and replay_bypass_entry itself.
+  void configure(const SocConfig& cfg) {
+    dt_ref = cfg.time_step.value();
+    tau = cfg.regulation_time_constant.value();
+    c_solar = cfg.solar_capacitance.value();
+    c_vdd = cfg.vdd_capacitance.value();
+    r_on = cfg.bypass.on_resistance.value();
+    v_s = cfg.solar_start_voltage.value();
+    v_d = cfg.vdd_start_voltage.value();
   }
 
-  /// Step start: refresh the controller's view of the node, run on_tick,
-  /// gate the load, and collect the controller's step hint into `hint`
-  /// (reset first).  Returns irradiance() at the step start (step()'s g0).
-  HEMP_HOT double control(SocController& ctl, SocState& state, SocCommand& cmd,
-                          SocStepHint& hint) {
-    const double g0 = irradiance();
-    state.time = Seconds(t);
-    state.irradiance = g0;
-    state.v_solar = Volts(v_s);
-    state.v_dd = Volts(v_d);
-    state.p_harvest = Watts(v_s * iv.cell_i(v_s, g0));
-    state.path = cmd.path;
-    ctl.on_tick(state, cmd);
-    gate(cmd);
-    hint.reset();
-    ctl.step_hint(state, hint);
-    return g0;
-  }
-
-  /// Step end: what the step did, as the controller sees it at the next
-  /// control() (its node voltages, load, clock and retired cycles).
-  void observe(SocState& state) const {
-    state.v_solar = Volts(v_s);
-    state.v_dd = Volts(v_d);
-    state.p_processor = Watts(p_load);
-    state.frequency = Hertz(f_eff);
-    state.processor_running = can_run;
-    state.regulator_ok = reg_ok;
-    state.cycles_retired = cycles;
+  /// The node loop (see the header comment).  Returns the controller's
+  /// final view of the node.
+  template <class Hook>
+  HEMP_HOT SocState run(SocController& ctl, Hook& hook) {
+    SocState state{};
+    SocCommand cmd{};
+    SocStepHint hint;
+    start(ctl, state, cmd);
+    while (!done()) {
+      const double t0 = t;
+      const double g0 = control(ctl, state, cmd, hint);
+      hint.deadline(hook.deadline(t0));
+      const double dt = step(cmd, hint, g0);
+      observe(state);
+      hook.on_step(t0, g0, dt, state, cmd);
+      if (ctl.finished(state)) break;
+    }
+    flush_step_counts();
+    return state;
   }
 
   /// Load for this step, with the reference tick semantics: the rail voltage
@@ -269,14 +264,6 @@ struct NodeStepper {
     return pl.dt;
   }
 
-  /// Flush the per-cause step counts to solver_stats (once per run).
-  void flush_step_counts() const {
-    for (int c = 0; c < solver_stats::kStepCauseCount; ++c) {
-      solver_stats::count_steps(static_cast<solver_stats::StepCause>(c),
-                                step_counts[static_cast<std::size_t>(c)]);
-    }
-  }
-
   /// The run's totals so far (audit_checks stays 0).
   [[nodiscard]] SimTotals totals() const {
     SimTotals out;
@@ -297,6 +284,55 @@ struct NodeStepper {
   // ---------------------------------------------------------------------
 
  private:
+  /// Hand the node to the controller at the run start.  The command latch
+  /// starts at the rail's start voltage.
+  void start(SocController& ctl, SocState& state, SocCommand& cmd) {
+    cmd.vdd_target = Volts(v_d);
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.irradiance = irradiance();
+    ctl.on_start(state, cmd);
+  }
+
+  /// Step start: refresh the controller's view of the node, run on_tick,
+  /// gate the load, and collect the controller's step hint into `hint`
+  /// (reset first).  Returns irradiance() at the step start (step()'s g0).
+  HEMP_HOT double control(SocController& ctl, SocState& state, SocCommand& cmd,
+                          SocStepHint& hint) {
+    const double g0 = irradiance();
+    state.time = Seconds(t);
+    state.irradiance = g0;
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.p_harvest = Watts(v_s * iv.cell_i(v_s, g0));
+    state.path = cmd.path;
+    ctl.on_tick(state, cmd);
+    gate(cmd);
+    hint.reset();
+    ctl.step_hint(state, hint);
+    return g0;
+  }
+
+  /// Step end: what the step did, as the controller sees it at the next
+  /// control() (its node voltages, load, clock and retired cycles).
+  void observe(SocState& state) const {
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.p_processor = Watts(p_load);
+    state.frequency = Hertz(f_eff);
+    state.processor_running = can_run;
+    state.regulator_ok = reg_ok;
+    state.cycles_retired = cycles;
+  }
+
+  /// Flush the per-cause step counts to solver_stats (once per run).
+  void flush_step_counts() const {
+    for (int c = 0; c < solver_stats::kStepCauseCount; ++c) {
+      solver_stats::count_steps(static_cast<solver_stats::StepCause>(c),
+                                step_counts[static_cast<std::size_t>(c)]);
+    }
+  }
+
   /// What integrate_pre leaves for the solar solve and the rail update.
   struct StepPlan {
     double dt = 0.0;

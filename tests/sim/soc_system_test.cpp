@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/solver_stats.hpp"
 #include "regulator/buck.hpp"
 #include "regulator/switched_cap.hpp"
 
@@ -137,20 +138,40 @@ TEST(SocSystem, WaveformRecordsExpectedChannels) {
   EXPECT_NO_THROW((void)r.waveform.series("cycles"));
 }
 
+/// Runs the core at a fixed point and reports finished after 1e5 cycles.
+class StopAtCycles : public SocController {
+ public:
+  void on_start(const SocState&, SocCommand& cmd) override {
+    cmd.path = PowerPath::kRegulated;
+    cmd.vdd_target = Volts(0.5);
+    cmd.frequency = Hertz(200e6);
+  }
+  bool finished(const SocState& s) override { return s.cycles_retired >= 1e5; }
+};
+
 TEST(SocSystem, ControllerFinishedStopsEarly) {
-  class StopAtCycles : public SocController {
-   public:
-    void on_start(const SocState&, SocCommand& cmd) override {
-      cmd.path = PowerPath::kRegulated;
-      cmd.vdd_target = Volts(0.5);
-      cmd.frequency = Hertz(200e6);
-    }
-    bool finished(const SocState& s) override { return s.cycles_retired >= 1e5; }
-  } ctrl;
+  StopAtCycles ctrl;
   SocSystem soc = make_soc();
   const SimResult r = soc.run(IrradianceTrace::constant(1.0), ctrl, 1.0_s);
   EXPECT_LT(r.totals.simulated_time.value(), 0.01);
   EXPECT_GE(r.totals.cycles, 1e5);
+}
+
+TEST(SocSystem, ControllerFinishedStopsEarlyOnFastPath) {
+  SocConfig cfg;
+  cfg.fast_path = true;
+  cfg.audit = false;  // an audited run falls back to the dense loop
+  StopAtCycles ctrl;
+  SocSystem soc = make_soc(cfg);
+  const solver_stats::StepSnapshot before = solver_stats::step_snapshot();
+  const SimResult r = soc.run(IrradianceTrace::constant(1.0), ctrl, 1.0_s);
+  // Only the event-driven loop counts steps: the run took the fast path.
+  EXPECT_GT(solver_stats::step_delta_since(before).total(), 0u);
+  EXPECT_LT(r.totals.simulated_time.value(), 0.01);
+  EXPECT_GE(r.totals.cycles, 1e5);
+  // The stop lands on the first step past the target: one reference tick at
+  // 200 MHz retires 400 cycles.
+  EXPECT_LT(r.totals.cycles, 1e5 + 1000.0);
 }
 
 TEST(SocSystem, LightStepShowsInSolarNode) {
